@@ -1,5 +1,6 @@
-"""CI smoke test: a tiny collection with ``--workers 2`` must produce a
-byte-identical archive to the serial run.
+"""CI smoke test: a tiny collection with ``--workers 2``, and one through
+the resilient runner (``--checkpoint``), must each produce a
+byte-identical archive to the plain serial run.
 
 Exercises the real CLI entry point end to end (argument parsing,
 runner, pool workers, npz serialisation) rather than library calls, so
@@ -22,6 +23,7 @@ def run() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         serial = Path(tmp) / "serial.npz"
         fanned = Path(tmp) / "fanned.npz"
+        resilient = Path(tmp) / "resilient.npz"
         base = ["collect", "--samples", "1", "--seed", "7"]
         if main(base + ["--out", str(serial)]) != 0:
             print("smoke: serial collection failed", file=sys.stderr)
@@ -35,11 +37,21 @@ def run() -> int:
                 file=sys.stderr,
             )
             return 1
+        checkpoint = ["--checkpoint", str(Path(tmp) / "ckpt")]
+        if main(base + ["--out", str(resilient)] + checkpoint) != 0:
+            print("smoke: checkpointed collection failed", file=sys.stderr)
+            return 1
+        if serial.read_bytes() != resilient.read_bytes():
+            print(
+                "smoke: --checkpoint archive differs from serial archive",
+                file=sys.stderr,
+            )
+            return 1
         with np.load(str(serial), allow_pickle=False) as archive:
             if "allow_pickle" in archive.files:
                 print("smoke: stray allow_pickle key in archive", file=sys.stderr)
                 return 1
-    print("smoke: parallel collection byte-identical to serial")
+    print("smoke: parallel and checkpointed collections byte-identical to serial")
     return 0
 
 

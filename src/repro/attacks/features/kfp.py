@@ -92,22 +92,25 @@ class KfpFeatureExtractor:
     def __init__(self) -> None:
         self._names: List[str] = []
         self._names_final = False
-        # Build the name list once by extracting from a tiny dummy trace.
-        dummy = Trace(
-            np.array([0.0, 0.01]),
-            np.array([OUT, IN], dtype=np.int8),
-            np.array([100, 1500]),
-        )
-        self._extract(dummy)
-        self._names_final = True
 
     def names(self) -> List[str]:
         """Stable feature names, index-aligned with the vectors."""
+        if not self._names_final:
+            # Built on first use, by extracting from a tiny dummy trace:
+            # experiments construct an extractor per evaluated cell, and
+            # a warm cached run needs none of them to extract anything.
+            dummy = Trace(
+                np.array([0.0, 0.01]),
+                np.array([OUT, IN], dtype=np.int8),
+                np.array([100, 1500]),
+            )
+            self._extract(dummy)
+            self._names_final = True
         return list(self._names)
 
     @property
     def n_features(self) -> int:
-        return len(self._names)
+        return len(self.names())
 
     def extract(self, trace: Trace) -> np.ndarray:
         """The k-FP feature vector of one trace.

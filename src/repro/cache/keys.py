@@ -34,7 +34,7 @@ CODE_VERSION = __version__
 #: invalidation lever (vs. a package version bump, which moves every
 #: key).
 STAGE_VERSIONS = {
-    "capture": 1,   # raw trace collection (page loads over the stack)
+    "capture": 2,   # raw trace collection (2: retries seed via visit_seed_rng)
     "dataset": 1,   # content digest of an externally supplied dataset
     "sanitize": 1,  # IQR filter + balancing
     "defend": 1,    # defense application (trace transform)

@@ -40,7 +40,7 @@ from repro.campaign.verify import (
     repair_campaign,
     verify_campaign,
 )
-from repro.campaign.worker import ShardOutcome, run_shard, trial_rng
+from repro.campaign.worker import ShardOutcome, run_shard
 
 __all__ = [
     "CampaignConfig",
@@ -64,5 +64,4 @@ __all__ = [
     "verify_campaign",
     "ShardOutcome",
     "run_shard",
-    "trial_rng",
 ]

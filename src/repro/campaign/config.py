@@ -26,7 +26,9 @@ from repro.web.pageload import PageLoadConfig
 
 #: Schema of the on-disk campaign layout (config, manifest, sidecars).
 CAMPAIGN_SCHEMA = "repro.campaign/manifest"
-CAMPAIGN_VERSION = 1
+#: 2: trials seed through ``repro.web.pageload.visit_seed_rng`` (the
+#: shard bytes of version-1 campaigns cannot be re-derived any more).
+CAMPAIGN_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -307,9 +307,20 @@ def run_campaign(
                     for outcome in run_shard_chunk(config, [shard_id]):
                         publish_outcome(outcome)
             else:
-                report.supervisor = _run_supervised(
-                    config, todo, workers, supervisor, publish_outcome
+                def complete(outcomes: List[ShardOutcome]) -> None:
+                    for outcome in outcomes:
+                        publish_outcome(outcome)
+
+                # One shard per chunk: the shard is already the unit of
+                # work, durability and repair, so it is the unit of
+                # rescheduling and quarantine too.
+                pool = SupervisedPool(
+                    workers,
+                    functools.partial(run_shard_chunk, config),
+                    complete,
+                    config=supervisor,
                 )
+                report.supervisor = pool.run([[shard_id] for shard_id in todo])
                 for quarantined in report.supervisor.quarantined:
                     shard_id = int(quarantined.item)
                     if shard_id in manifest.shards and shard_id in set(
@@ -338,26 +349,6 @@ def run_campaign(
             quarantined=len(report.quarantined),
         )
         return report
-
-
-def _run_supervised(
-    config: CampaignConfig,
-    todo: List[int],
-    workers: int,
-    supervisor: Optional[SupervisorConfig],
-    publish_outcome: Callable[[ShardOutcome], None],
-) -> SupervisorReport:
-    """Fan shards out one-per-chunk under the supervised pool."""
-    task: Callable = functools.partial(run_shard_chunk, config)
-    if _obs_runtime.session() is not None:
-        task = _obs_runtime.WorkerTask(task)
-
-    def complete(payload) -> None:
-        for outcome in _obs_runtime.absorb(payload):
-            publish_outcome(outcome)
-
-    pool = SupervisedPool(workers, task, complete, config=supervisor)
-    return pool.run([[shard_id] for shard_id in todo])
 
 
 def _count(name: str, amount: int = 1) -> None:

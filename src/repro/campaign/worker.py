@@ -2,21 +2,23 @@
 
 :func:`run_shard` is the campaign's pure core.  Everything it touches
 is position-derived — site profiles from ``(seed, site_index)``, trial
-randomness from ``(seed, site_index, sample, attempt)``, defense
-randomness from the trial stream — so the payload bytes of shard 17
-are a function of ``(config, 17)`` and nothing else.  Not worker
-count, not execution order, not which run (first attempt, resume,
-or repair years later) happened to compute it.  That single property
-is what the whole integrity story hangs off: repair can promise
-*byte-identical* re-derivation because the original bytes never
-depended on anything that can't be reconstructed.
+randomness from the shared per-visit derivation
+:func:`~repro.web.pageload.visit_seed_rng` ``(seed, label, sample,
+attempt)``, defense randomness from the trial stream — so the payload
+bytes of shard 17 are a function of ``(config, 17)`` and nothing else.
+Not worker count, not execution order, not which run (first attempt,
+resume, or repair years later) happened to compute it.  That single
+property is what the whole integrity story hangs off: repair can
+promise *byte-identical* re-derivation because the original bytes
+never depended on anything that can't be reconstructed.
 
-Failure handling inside a shard is deterministic too: a trial whose
-page load stalls is retried ``config.retries`` times with reseeded
-attempts, and if every attempt stalls the trial is *dropped and
-recorded* as a :class:`~repro.campaign.manifest.TrialFailureRecord`.
-The same trial fails the same way on every re-derivation, so failure
-records round-trip through repair just like trace bytes do.
+Failure handling inside a shard is deterministic too: every trial runs
+through the shared retry loop :func:`~repro.web.pageload.execute_trial`
+with ``config.retries`` attempts and no backoff, and a trial whose
+every attempt fails is *dropped and recorded* as a
+:class:`~repro.campaign.manifest.TrialFailureRecord`.  The same trial
+fails the same way on every re-derivation, so failure records
+round-trip through repair just like trace bytes do.
 
 :func:`run_shard_chunk` is the picklable
 :class:`~repro.supervise.SupervisedPool` task: shard-scoped exceptions
@@ -28,9 +30,7 @@ propagate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.capture.dataset import Dataset
 from repro.capture.serialize import dumps_dataset
@@ -42,26 +42,11 @@ from repro.campaign.manifest import (
     TrialFailureRecord,
 )
 from repro.campaign.sharding import ShardSpec, shard_spec, shard_trials
-from repro.errors import FatalError, TrialError
+from repro.errors import FatalError
 from repro.obs import runtime as _obs_runtime
 from repro.web.generator import generate_profile, site_name
-from repro.web.pageload import load_page_strict
-
-#: Domain-separation salt for trial randomness — a different stream
-#: family than profile generation (:data:`repro.web.generator
-#: .GENERATOR_SALT`) even under the same campaign seed.
-TRIAL_SALT = 0x731A1
-
-
-def trial_rng(
-    seed: int, site_index: int, sample: int, attempt: int
-) -> np.random.Generator:
-    """The generator for one trial *attempt*, derived from its identity.
-
-    Retries advance ``attempt``, nothing else: a retried trial draws a
-    genuinely fresh stream while every other trial's bytes stay put.
-    """
-    return np.random.default_rng([TRIAL_SALT, seed, site_index, sample, attempt])
+from repro.web.objects import SiteProfile
+from repro.web.pageload import RetryPolicy, execute_trial, load_page_strict
 
 
 @dataclass
@@ -116,37 +101,39 @@ def run_shard(config: CampaignConfig, spec: ShardSpec) -> ShardOutcome:
         # builder seed only fixes construction-time parameters.
         defense = build_defense(config.defense, seed=config.seed)
 
+    profiles: Dict[str, SiteProfile] = {}
+
+    def trial(label, sample, rng, watchdog):
+        trace = load_page_strict(
+            profiles[label], label, config.pageload, rng, watchdog=watchdog
+        )
+        return trace if defense is None else defense.apply(trace, rng)
+
+    retry = RetryPolicy(max_attempts=config.retries, backoff_base=0.0)
     dataset = Dataset()
     failures: List[TrialFailureRecord] = []
     rows = 0
     for site_index, sample in shard_trials(config, spec):
-        profile = generate_profile(config.seed, site_index)
         label = site_name(site_index)
-        last_error: Optional[TrialError] = None
-        for attempt in range(config.retries):
-            rng = trial_rng(config.seed, site_index, sample, attempt)
-            try:
-                trace = load_page_strict(profile, label, config.pageload, rng)
-            except TrialError as exc:
-                last_error = exc
-                _count("campaign.trial_retries")
-                continue
-            if defense is not None:
-                trace = defense.apply(trace, rng)
-            dataset.add(label, trace)
+        if label not in profiles:
+            profiles[label] = generate_profile(config.seed, site_index)
+        outcome = execute_trial(trial, label, sample, config.seed, retry)
+        failed_attempts = outcome.retries + (outcome.trace is None)
+        if failed_attempts:
+            _count("campaign.trial_retries", failed_attempts)
+        if outcome.trace is not None:
+            dataset.add(label, outcome.trace)
             rows += 1
-            last_error = None
-            break
-        if last_error is not None:
-            _count("campaign.trial_failures")
-            failures.append(
-                TrialFailureRecord(
-                    site_index=site_index,
-                    sample=sample,
-                    error=type(last_error).__name__,
-                    message=str(last_error),
-                )
+            continue
+        _count("campaign.trial_failures")
+        failures.append(
+            TrialFailureRecord(
+                site_index=site_index,
+                sample=sample,
+                error=type(outcome.error).__name__,
+                message=str(outcome.error),
             )
+        )
     return ShardOutcome(
         shard_id=spec.shard_id,
         start=spec.start,

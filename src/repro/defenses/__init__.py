@@ -41,21 +41,6 @@ from repro.defenses.registry import (
     implemented_defenses,
 )
 
-# Deprecated free-function entry points (each emits DeprecationWarning).
-from repro.defenses.legacy import (  # noqa: F401
-    adaptive_front,
-    buflo,
-    combined,
-    delay,
-    front,
-    httpos,
-    morphing,
-    regulator,
-    split,
-    tamaraw,
-    wtfpad,
-)
-
 __all__ = [
     "Defense",
     "TraceDefense",
@@ -83,16 +68,4 @@ __all__ = [
     "build_defense",
     "defense_from_spec",
     "implemented_defenses",
-    # Deprecated shims (kept importable for one release).
-    "split",
-    "delay",
-    "combined",
-    "front",
-    "buflo",
-    "tamaraw",
-    "wtfpad",
-    "regulator",
-    "httpos",
-    "morphing",
-    "adaptive_front",
 ]

@@ -98,10 +98,6 @@ DEFENSE_REGISTRY: Dict[str, type] = {
     "palette": PaletteDefense,
 }
 
-# Backwards-compatible private alias (pre-contract name).
-_FACTORY = DEFENSE_REGISTRY
-
-
 def build_defense(name: str, seed: int = 0, **kwargs) -> TraceDefense:
     """Instantiate a defense by its short name.
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.attacks.features.kfp import KfpFeatureExtractor
 from repro.cache import ArtifactStore, cached_dataset, defend_key, sanitize_key
 from repro.capture.sanitize import sanitize_dataset
 from repro.experiments.config import ExperimentConfig
@@ -35,7 +34,7 @@ from repro.experiments.runner import (
     collect_resilient,
     resilient_capture_key,
 )
-from repro.experiments.table2 import evaluate_cached, make_defenses
+from repro.experiments.table2 import evaluate_cached_attack, make_defenses
 from repro.ml.metrics import mean_std
 from repro.simnet.faults import FaultSpec, bursty_loss_spec, link_flap_spec
 from repro.web.pageload import PageLoadConfig
@@ -121,7 +120,6 @@ def run_adverse(
     config = config or AdverseConfig()
     base = config.base
     sites = config.sites or sorted(SITE_CATALOG)
-    extractor = KfpFeatureExtractor()
     cells: Dict[Tuple[str, str], AdverseCell] = {}
     reports: Dict[str, CollectionReport] = {}
     for condition in CONDITION_ORDER:
@@ -177,10 +175,9 @@ def run_adverse(
                 if clean_key is not None
                 else None
             )
-            scores = evaluate_cached(
+            scores = evaluate_cached_attack(
                 base,
                 lambda defense=defense: clean.map(defense.apply),
-                extractor,
                 cache=cache,
                 upstream=dkey,
             )

@@ -22,7 +22,6 @@ time-volume shape, which splitting inflates and delaying stretches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -37,18 +36,6 @@ from repro.web.pageload import collect_dataset
 
 #: Grid row order: every registered attack (classical first, then DL).
 ATTACKS = ("kfp", "cumul", "knn", "tam-mlp")
-
-
-def _make_attack(name: str, config: ExperimentConfig):
-    """Deprecated: use :func:`repro.experiments.table2.make_attack`
-    (registry-backed) instead."""
-    warnings.warn(
-        "_make_attack is deprecated; use "
-        "repro.experiments.table2.make_attack(config, name)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_attack(config, name)
 
 
 @dataclass

@@ -22,8 +22,9 @@ deployment mismatch).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,16 +38,39 @@ from repro.ml.forest import RandomForest
 from repro.ml.metrics import accuracy_score, mean_std
 from repro.stob.actions import ComposedAction, DelayAction, SplitAction
 from repro.stob.controller import StobController
-from repro.web.pageload import PageLoadConfig, load_page
+from repro.capture.trace import Trace
+from repro.web.pageload import (
+    PageLoadConfig,
+    TrialSpec,
+    collect_trials,
+    load_page_strict,
+)
 from repro.web.sites import SITE_CATALOG
 
 
-def _stob_controller(seed: int) -> StobController:
-    return StobController(
+def _enforced_trial(
+    config: PageLoadConfig,
+    label: str,
+    index: int,
+    rng: np.random.Generator,
+    watchdog: Optional[Callable[[], None]],
+) -> Trace:
+    """One catalogue page load with Stob split+delay in the server stack.
+
+    The delay draws from a child stream spawned off the visit's
+    generator, which leaves the generator itself untouched: each
+    enforced visit loads the same page over the same path as the stock
+    visit with the same coordinates.
+    """
+    controller = StobController(
         action=ComposedAction(
             SplitAction(1200, 2),
-            DelayAction(0.10, 0.30, rng=np.random.default_rng(seed)),
+            DelayAction(0.10, 0.30, rng=rng.spawn(1)[0]),
         )
+    )
+    return load_page_strict(
+        SITE_CATALOG[label], label, config, rng,
+        server_controller=controller, watchdog=watchdog,
     )
 
 
@@ -55,21 +79,10 @@ def collect_enforced_dataset(
     config: Optional[PageLoadConfig] = None,
     seed: int = 0,
 ) -> Dataset:
-    """Page loads with Stob split+delay enforced in the server stack."""
-    config = config or PageLoadConfig()
-    dataset = Dataset()
-    root = np.random.default_rng(seed)
-    for label in sorted(SITE_CATALOG):
-        profile = SITE_CATALOG[label]
-        for _ in range(n_samples):
-            visit_seed = int(root.integers(0, 2**63))
-            rng = np.random.default_rng(visit_seed)
-            controller = _stob_controller(visit_seed & 0x7FFFFFFF)
-            trace = load_page(
-                profile, config, rng, server_controller=controller
-            )
-            dataset.add(label, trace)
-    return dataset
+    """Page loads with Stob split+delay enforced in the server stack
+    (stalled loads dropped, as in :func:`~repro.web.pageload.collect_dataset`)."""
+    spec = TrialSpec(functools.partial(_enforced_trial, config or PageLoadConfig()))
+    return collect_trials(spec, seed, sorted(SITE_CATALOG), n_samples)
 
 
 @dataclass

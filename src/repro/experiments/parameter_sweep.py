@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from repro.attacks.features.kfp import KfpFeatureExtractor
 from repro.cache import ArtifactStore, cached_json, defend_key, overhead_key
 from repro.capture.dataset import Dataset
 from repro.defenses.combined import CombinedDefense
@@ -25,7 +24,7 @@ from repro.defenses.delay import DelayDefense
 from repro.defenses.overhead import overhead_summary
 from repro.defenses.split import SplitDefense
 from repro.experiments.config import ExperimentConfig, config_to_dict
-from repro.experiments.table2 import dataset_chain, evaluate_cached
+from repro.experiments.table2 import dataset_chain, evaluate_cached_attack
 from repro.ml.metrics import mean_std
 
 #: Split thresholds (bytes).  The paper fixed 1200 "to prevent creating
@@ -98,7 +97,6 @@ def run_parameter_sweep(
         config = SweepConfig(base=config)
     base = config.base
     get_clean, clean_key = dataset_chain(base, dataset, cache)
-    extractor = KfpFeatureExtractor()
     points: List[SweepPoint] = []
     for threshold in config.thresholds:
         for low, high in config.delay_ranges:
@@ -115,9 +113,7 @@ def run_parameter_sweep(
                 return get_clean().map(defense.apply)
 
             mean, std = mean_std(
-                evaluate_cached(
-                    base, build, extractor, cache=cache, upstream=dkey
-                )
+                evaluate_cached_attack(base, build, cache=cache, upstream=dkey)
             )
             okey = (
                 overhead_key(clean_key, defense, config.overhead_traces)

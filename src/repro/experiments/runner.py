@@ -1,124 +1,84 @@
-"""Resilient experiment runner: retries, deadlines, checkpoint/resume.
+"""Resilient experiment runner: retries, checkpoints, reports, cache.
 
 Dataset collection is the long pole of every experiment in this repo —
 thousands of simulated page loads — and under fault injection
-individual trials can stall or fail.  This module wraps trial
-execution with the reliability layer a long collection run needs:
+individual trials can stall or fail.  Trials run through the shared
+collection core in :mod:`repro.web.pageload`: one seed derivation
+(:func:`~repro.web.pageload.visit_seed_rng`), one retry loop
+(:func:`~repro.web.pageload.execute_trial`) and one supervised fan-out
+(:func:`~repro.web.pageload.run_trials`).  This module adds what a
+long collection run needs on top of that loop:
 
-* **deterministic per-trial seeding** — each (site, sample, attempt)
-  triple derives its own ``numpy.random.Generator`` from the master
-  seed, independent of execution order, so an interrupted run resumed
-  from a checkpoint produces a byte-identical final dataset;
-* **stall detection** — per-trial simulated-time deadlines surface as
-  :class:`~repro.web.pageload.PageLoadStalled`, and an optional
-  wall-clock deadline aborts trials that burn real time;
-* **retry with reseed and exponential backoff** — a failed trial is
-  retried up to a budget, each attempt with a fresh derived seed;
+* **a retry policy** — a failed trial is retried up to a budget, each
+  attempt with a fresh position-derived seed and exponential backoff;
+  an optional wall-clock deadline aborts trials that burn real time;
 * **structured failure log** — trials that exhaust their budget are
   recorded (site, sample, attempts, error) and the run completes
   gracefully with reduced samples;
 * **checkpointing** — partial datasets are persisted periodically
   through :mod:`repro.capture.serialize` plus a JSON manifest, and
-  ``resume=True`` skips completed trials;
-* **parallel execution** — ``workers > 1`` fans trials out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` in chunks.  Because
-  every trial's randomness is position-derived
-  (:func:`trial_seed_rng`) and results are merged by coordinate, the
-  final dataset is bit-identical for any worker count, and
-  checkpoint/resume keeps working across worker-count changes.
+  ``resume=True`` skips completed trials.  Seeds depend only on the
+  trial's identity, so an interrupted run resumed from a checkpoint —
+  with any worker count — produces a byte-identical final dataset;
+* **caching** — :func:`collect_resilient` memoises dataset and report
+  under a capture key that includes the retry policy.
+
+With no stalls a resilient collection equals :func:`collect_dataset
+<repro.web.pageload.collect_dataset>` for the same seed: attempt 0 of
+every trial draws exactly the plain collector's visit seed.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import os
 import time
-import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ARTIFACT_DECODE_ERRORS,
-    RETRYABLE_ERRORS,
-    RunTerminated,
-    TrialError,
-    sigterm_translated,
-)
+from repro.errors import ARTIFACT_DECODE_ERRORS, RunTerminated, sigterm_translated
 from repro.ioutil import atomic_write_json
 from repro.obs import runtime as _obs_runtime
-from repro.parallel import chunked, default_chunk_size, resolve_workers
-from repro.supervise import SupervisedPool, SupervisorConfig
+from repro.supervise import SupervisorConfig
 
 from repro.capture.dataset import Dataset
 from repro.capture.serialize import load_dataset, save_dataset_atomic
 from repro.capture.trace import Trace
-from repro.web.pageload import PageLoadConfig, PageLoadStalled, load_page_strict
-from repro.web.sites import SITE_CATALOG
+from repro.web.pageload import (  # noqa: F401  (the trial core, re-exported)
+    PageLoadConfig,
+    RetryPolicy,
+    TrialDeadlineExceeded,
+    TrialFailure,
+    TrialFn,
+    TrialOutcome,
+    TrialSpec,
+    catalog_trial,
+    execute_trial,
+    run_trials,
+)
 
 log = logging.getLogger("repro.runner")
 
 
-def __getattr__(name: str):
-    # Deprecation shim: the old module-level RETRYABLE tuple included
-    # bare RuntimeError/ValueError, which retried (and thereby masked)
-    # programming bugs.  Retryability now lives in the repro.errors
-    # taxonomy; importing the old name still works but warns.
-    if name == "RETRYABLE":
-        warnings.warn(
-            "repro.experiments.runner.RETRYABLE is deprecated; use "
-            "repro.errors.RETRYABLE_ERRORS (trials opt into retry by "
-            "raising repro.errors.TrialError subclasses)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RETRYABLE_ERRORS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class TrialDeadlineExceeded(TrialError):
-    """A trial exceeded its wall-clock budget (raised by the watchdog)."""
-
-
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Retry budget and backoff shape for one trial."""
+class PageLoadTrial:
+    """The runner's default trial: :func:`~repro.web.pageload.catalog_trial`
+    as a picklable callable of its own, so profiles can tell runner
+    attempts apart from plain-collection visits."""
 
-    max_attempts: int = 3
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max: float = 10.0
+    config: PageLoadConfig
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (1-based)."""
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-
-
-@dataclass
-class TrialFailure:
-    """One trial that exhausted its retry budget."""
-
-    label: str
-    index: int
-    attempts: int
-    error: str
-    message: str
+    def __call__(
+        self,
+        label: str,
+        index: int,
+        rng: np.random.Generator,
+        watchdog: Optional[Callable[[], None]],
+    ) -> Trace:
+        return catalog_trial(self.config, label, index, rng, watchdog)
 
 
 @dataclass
@@ -190,163 +150,6 @@ class RunnerConfig:
         return config_to_dict(self)
 
 
-#: A trial function: (label, sample index, rng, watchdog) -> Trace.
-TrialFn = Callable[[str, int, np.random.Generator, Optional[Callable[[], None]]], Trace]
-
-#: Fixed bucket edges for per-trial wall time (seconds).
-TRIAL_WALL_EDGES = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
-)
-
-
-def trial_seed_rng(master_seed: int, site_index: int, sample: int, attempt: int) -> np.random.Generator:
-    """The canonical per-trial generator.
-
-    Seeding from the full coordinate tuple (not a sequential stream)
-    is what makes resume byte-identical: a trial's randomness depends
-    only on *which* trial it is and the attempt number, never on how
-    many trials ran before it.
-    """
-    return np.random.default_rng([master_seed, site_index, sample, attempt])
-
-
-@dataclass(frozen=True)
-class PageLoadTrial:
-    """The default trial: one strict page load of the labelled site.
-
-    A dataclass rather than a closure so it pickles — the parallel
-    executor ships the trial function to worker processes.
-    """
-
-    config: PageLoadConfig
-
-    def __call__(
-        self,
-        label: str,
-        index: int,
-        rng: np.random.Generator,
-        watchdog: Optional[Callable[[], None]],
-    ) -> Trace:
-        return load_page_strict(
-            SITE_CATALOG[label], label, self.config, rng, watchdog=watchdog
-        )
-
-
-def pageload_trial_fn(config: PageLoadConfig) -> TrialFn:
-    """The default (picklable) page-load trial function."""
-    return PageLoadTrial(config)
-
-
-@dataclass
-class TrialOutcome:
-    """Everything one trial's retry loop produced (shipped back from
-    pool workers; also used by the in-process path)."""
-
-    label: str
-    sample: int
-    trace: Optional[Trace]
-    retries: int = 0
-    stalls: int = 0
-    failure: Optional[TrialFailure] = None
-
-
-def execute_trial(
-    trial_fn: TrialFn,
-    label: str,
-    site_index: int,
-    sample: int,
-    master_seed: int,
-    retry: RetryPolicy,
-    wall_deadline: Optional[float] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.monotonic,
-) -> TrialOutcome:
-    """One trial with retries — the shared core of the serial and
-    parallel paths.  Each attempt reseeds from the trial coordinates,
-    so where the trial executes never changes its randomness."""
-    outcome = TrialOutcome(label=label, sample=sample, trace=None)
-    last_error: Optional[BaseException] = None
-    trial_started = clock()
-    for attempt in range(retry.max_attempts):
-        rng = trial_seed_rng(master_seed, site_index, sample, attempt)
-        watchdog: Optional[Callable[[], None]] = None
-        if wall_deadline is not None:
-            started = clock()
-
-            def watchdog() -> None:
-                elapsed = clock() - started
-                if elapsed > wall_deadline:
-                    raise TrialDeadlineExceeded(
-                        f"trial exceeded wall-clock budget "
-                        f"({elapsed:.1f}s > {wall_deadline:.1f}s)"
-                    )
-
-        try:
-            outcome.trace = trial_fn(label, sample, rng, watchdog)
-            _observe_trial(outcome, clock() - trial_started)
-            return outcome
-        except RETRYABLE_ERRORS as error:
-            last_error = error
-            if isinstance(error, PageLoadStalled):
-                outcome.stalls += 1
-            if attempt + 1 < retry.max_attempts:
-                outcome.retries += 1
-                sleep(retry.delay(attempt + 1))
-    outcome.failure = TrialFailure(
-        label=label,
-        index=sample,
-        attempts=retry.max_attempts,
-        error=type(last_error).__name__,
-        message=str(last_error),
-    )
-    _observe_trial(outcome, clock() - trial_started)
-    return outcome
-
-
-def _observe_trial(outcome: TrialOutcome, wall_seconds: float) -> None:
-    """Record one finished retry loop in the active metrics registry.
-
-    Runs in whichever process executed the trial — the parent on the
-    serial path, a pool worker otherwise (worker registries travel
-    home as snapshots, see :mod:`repro.obs.runtime`).  All counters
-    here are sim-determined, so serial and parallel runs report equal
-    totals; only the wall-time histogram is machine-dependent.
-    """
-    obs = _obs_runtime.session()
-    if obs is None:
-        return
-    registry = obs.registry
-    registry.counter("runner.trials").add(1)
-    if outcome.trace is not None:
-        registry.counter("runner.trials_completed").add(1)
-    registry.counter("runner.retries").add(outcome.retries)
-    registry.counter("runner.stalls").add(outcome.stalls)
-    if outcome.failure is not None:
-        registry.counter("runner.trials_failed").add(1)
-    registry.histogram(
-        "runner.trial_wall_seconds", TRIAL_WALL_EDGES
-    ).observe(wall_seconds)
-
-
-def _execute_trial_chunk(
-    trial_fn: TrialFn,
-    retry: RetryPolicy,
-    master_seed: int,
-    wall_deadline: Optional[float],
-    trials: List[Tuple[str, int, int]],
-) -> List[TrialOutcome]:
-    """Pool-worker task: run a chunk of ``(label, site_index, sample)``
-    trials and ship their outcomes back in one message."""
-    return [
-        execute_trial(
-            trial_fn, label, site_index, sample, master_seed, retry,
-            wall_deadline=wall_deadline,
-        )
-        for label, site_index, sample in trials
-    ]
-
-
 class ResilientRunner:
     """Executes a grid of (site, sample) trials with retries and
     checkpointing.
@@ -355,7 +158,9 @@ class ResilientRunner:
     sleeping or wall-clock waiting in CI).
     """
 
-    CHECKPOINT_VERSION = 1
+    #: 2: trial seeds come from ``visit_seed_rng`` — checkpoints of the
+    #: old per-site-index seeds are refused rather than mixed in.
+    CHECKPOINT_VERSION = 2
 
     def __init__(
         self,
@@ -476,33 +281,6 @@ class ResilientRunner:
 
     # -- execution ---------------------------------------------------------
 
-    def _run_trial(
-        self,
-        trial_fn: TrialFn,
-        label: str,
-        site_index: int,
-        sample: int,
-        master_seed: int,
-        report: CollectionReport,
-    ) -> Optional[Trace]:
-        """One in-process trial; None when the budget is exhausted."""
-        outcome = execute_trial(
-            trial_fn, label, site_index, sample, master_seed,
-            self.config.retry,
-            wall_deadline=self.config.trial_wall_deadline,
-            sleep=self._sleep,
-            clock=self._clock,
-        )
-        self._merge_outcome(outcome, report)
-        return outcome.trace
-
-    @staticmethod
-    def _merge_outcome(outcome: TrialOutcome, report: CollectionReport) -> None:
-        report.retries += outcome.retries
-        report.stalls += outcome.stalls
-        if outcome.failure is not None:
-            report.failures.append(outcome.failure)
-
     def collect(
         self,
         sites: Sequence[str],
@@ -557,8 +335,8 @@ class ResilientRunner:
 
         # Trials still to run, in deterministic grid order.
         pending = [
-            (label, site_index, sample)
-            for site_index, label in enumerate(sites)
+            (label, sample)
+            for label in sites
             for sample in range(n_samples)
             if sample not in results.get(label, {})
             and sample not in failed.get(label, set())
@@ -567,18 +345,24 @@ class ResilientRunner:
         obs = _obs_runtime.session()
 
         def complete(outcome: TrialOutcome) -> None:
+            # Outcomes arrive in completion order; everything below is
+            # keyed by coordinate, and failures are sorted at the end.
             nonlocal since_checkpoint
-            self._merge_outcome(outcome, report)
+            report.retries += outcome.retries
+            report.stalls += outcome.stalls
+            failure = outcome.failure
+            if failure is not None:
+                report.failures.append(failure)
             if obs is not None:
                 if outcome.retries:
                     obs.emit(
                         "trial.retry", "runner", label=outcome.label,
                         sample=outcome.sample, retries=outcome.retries,
                     )
-                if outcome.failure is not None:
+                if failure is not None:
                     obs.emit(
                         "trial.failure", "runner", label=outcome.label,
-                        sample=outcome.sample, error=outcome.failure.error,
+                        sample=outcome.sample, error=failure.error,
                     )
                 else:
                     obs.emit(
@@ -594,27 +378,17 @@ class ResilientRunner:
                     progress(outcome.label, outcome.sample)
             maybe_checkpoint()
 
-        workers = resolve_workers(self.config.workers)
+        spec = TrialSpec(trial_fn, self.config.retry, self.config.trial_wall_deadline)
         with sigterm_translated():
             try:
-                if workers > 1 and len(pending) > 1:
-                    self._collect_parallel(
-                        pending, trial_fn, master_seed, workers, complete, report
-                    )
-                else:
-                    for label, site_index, sample in pending:
-                        if obs is not None:
-                            obs.emit(
-                                "trial.start", "runner", label=label, sample=sample
-                            )
-                        outcome = execute_trial(
-                            trial_fn, label, site_index, sample, master_seed,
-                            self.config.retry,
-                            wall_deadline=self.config.trial_wall_deadline,
-                            sleep=self._sleep,
-                            clock=self._clock,
-                        )
-                        complete(outcome)
+                run_trials(
+                    spec, master_seed, pending, complete,
+                    workers=self.config.workers,
+                    supervisor=self.config.supervisor,
+                    chunk_size=self.config.chunk_size,
+                    sleep=self._sleep,
+                    clock=self._clock,
+                )
             except (KeyboardInterrupt, RunTerminated):
                 maybe_checkpoint(force=True)
                 raise
@@ -631,83 +405,6 @@ class ResilientRunner:
                     results[label][i] for i in sorted(results[label])
                 ]
         return dataset, report
-
-    def _collect_parallel(
-        self,
-        pending: List[Tuple[str, int, int]],
-        trial_fn: TrialFn,
-        master_seed: int,
-        workers: int,
-        complete: Callable[[TrialOutcome], None],
-        report: CollectionReport,
-    ) -> None:
-        """Fan ``pending`` out over a supervised process pool in chunks.
-
-        Outcomes are merged as chunks finish (so periodic checkpoints
-        still happen mid-run), but every result is keyed by its trial
-        coordinates and every seed is position-derived, so the final
-        dataset is independent of completion order, worker count *and
-        worker deaths*: the :class:`~repro.supervise.SupervisedPool`
-        rebuilds crashed pools and reschedules lost chunks, which
-        recompute identical bytes.  Poison trials it quarantines are
-        recorded as structured failures on ``report``.  On interrupt,
-        unstarted chunks are cancelled and the caller writes a final
-        checkpoint covering everything merged so far.
-        """
-        chunk_size = self.config.chunk_size or default_chunk_size(
-            len(pending), workers
-        )
-        chunks = chunked(pending, chunk_size)
-        # With observability on, chunks run under worker-local metric
-        # sessions whose snapshots ship back with the outcomes and are
-        # folded into the parent registry (obs.absorb) — counter totals
-        # therefore match the serial path for any worker count.  A
-        # chunk lost to a worker crash never ships its snapshot, so
-        # recovery does not double-count.
-        chunk_fn = _execute_trial_chunk
-        if _obs_runtime.session() is not None:
-            chunk_fn = _obs_runtime.WorkerTask(_execute_trial_chunk)
-        task = functools.partial(
-            chunk_fn,
-            trial_fn,
-            self.config.retry,
-            master_seed,
-            self.config.trial_wall_deadline,
-        )
-
-        def merge(payload: object) -> None:
-            for outcome in _obs_runtime.absorb(payload):
-                complete(outcome)
-
-        supervisor_config = self.config.supervisor
-        if (
-            supervisor_config.trial_deadline is None
-            and self.config.trial_wall_deadline is not None
-        ):
-            # Hang detection defaults to the trial wall deadline the
-            # workers already enforce cooperatively — the supervisor's
-            # copy catches trials hung somewhere the watchdog can't see.
-            supervisor_config = replace(
-                supervisor_config, trial_deadline=self.config.trial_wall_deadline
-            )
-        pool = SupervisedPool(
-            workers, task, merge, config=supervisor_config
-        )
-        supervisor_report = pool.run(chunks)
-        for quarantined in supervisor_report.quarantined:
-            label, _site_index, sample = quarantined.item
-            report.failures.append(
-                TrialFailure(
-                    label=label,
-                    index=sample,
-                    attempts=quarantined.crashes,
-                    error="WorkerCrashError",
-                    message=(
-                        f"quarantined after killing a worker "
-                        f"{quarantined.crashes} times"
-                    ),
-                )
-            )
 
 
 def resilient_capture_key(
@@ -761,52 +458,45 @@ def collect_resilient(
     """
     runner_config = runner_config or RunnerConfig()
     pageload_config = pageload_config or PageLoadConfig()
-    key = resilient_capture_key(
-        sites, n_samples, pageload_config, seed, runner_config
+    key = (
+        resilient_capture_key(sites, n_samples, pageload_config, seed, runner_config)
+        if cache is not None
+        else None
     )
-    cacheable = cache is not None and key is not None
-    if cacheable:
-        from repro.cache import CacheKey
-        from repro.capture.serialize import dumps_dataset, loads_dataset
+    collected: List[CollectionReport] = []
 
-        report_key = CacheKey.derive("capture", {"report_for": key.digest})
-        data = cache.get_bytes(key)
-        if data is not None:
-            try:
-                dataset = loads_dataset(data)
-            except ARTIFACT_DECODE_ERRORS:
-                cache._count("corruptions")
-            else:
-                report = CollectionReport(
-                    completed_trials=dataset.num_traces, from_cache=True
-                )
-                stored = cache.get_bytes(report_key)
-                if stored is not None:
-                    try:
-                        meta = json.loads(stored.decode("utf-8"))
-                        report.retries = int(meta.get("retries", 0))
-                        report.stalls = int(meta.get("stalls", 0))
-                        report.failures = [
-                            TrialFailure(**f) for f in meta.get("failures", [])
-                        ]
-                    except ARTIFACT_DECODE_ERRORS + (TypeError,):
-                        cache._count("corruptions")
-                return dataset, report
-    runner = ResilientRunner(runner_config)
-    trial_fn = pageload_trial_fn(pageload_config)
-    dataset, report = runner.collect(
-        sites, n_samples, trial_fn, seed, resume=resume, progress=progress
+    def collect() -> Dataset:
+        dataset, report = ResilientRunner(runner_config).collect(
+            sites, n_samples, PageLoadTrial(pageload_config), seed,
+            resume=resume, progress=progress,
+        )
+        collected.append(report)
+        return dataset
+
+    from repro.cache import CacheKey, cached_dataset, cached_json
+
+    dataset = cached_dataset(cache, key, collect)
+    if key is None:
+        return dataset, collected[0]
+    report = (
+        collected[0]
+        if collected
+        else CollectionReport(completed_trials=dataset.num_traces, from_cache=True)
     )
-    if cacheable and key is not None:
-        cache.put_bytes(key, dumps_dataset(dataset), kind="dataset")
-        summary = {
+    summary = cached_json(
+        cache,
+        CacheKey.derive("capture", {"report_for": key.digest}),
+        lambda: {
             "retries": report.retries,
             "stalls": report.stalls,
             "failures": [asdict(f) for f in report.failures],
-        }
-        cache.put_bytes(
-            report_key,
-            json.dumps(summary, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-            kind="json",
-        )
+        },
+    )
+    if report.from_cache:
+        try:
+            report.retries = int(summary.get("retries", 0))
+            report.stalls = int(summary.get("stalls", 0))
+            report.failures = [TrialFailure(**f) for f in summary.get("failures", [])]
+        except ARTIFACT_DECODE_ERRORS + (TypeError, AttributeError):
+            cache._count("corruptions")
     return dataset, report

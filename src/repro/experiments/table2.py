@@ -39,7 +39,6 @@ from repro.cache import (
     capture_key,
     dataset_key,
     defend_key,
-    eval_key,
     features_key,
     sanitize_key,
 )
@@ -164,41 +163,6 @@ def evaluate_dataset(
     return _fold_scores(X, y, config)
 
 
-def evaluate_cached(
-    config: ExperimentConfig,
-    build: Callable[[], Dataset],
-    extractor: Optional[KfpFeatureExtractor] = None,
-    cache: Optional[ArtifactStore] = None,
-    upstream: Optional[CacheKey] = None,
-) -> List[float]:
-    """Fold scores for the dataset ``build()`` produces, with feature-
-    and eval-level caching.
-
-    ``upstream`` is the cache key of that (defended) dataset; the
-    feature key chains onto it, the eval key onto the features.  On a
-    warm eval hit neither ``build()`` nor feature extraction runs; on
-    an eval miss with warm features only the forests run.  Scores are
-    coerced to ``float`` so cold (np.float64) and warm (JSON) paths are
-    indistinguishable.  Shared by the Table-2, parameter-sweep and
-    adverse-network experiments.
-    """
-    extractor = extractor or KfpFeatureExtractor()
-    if cache is None or upstream is None:
-        return [float(s) for s in evaluate_dataset(build(), config, extractor)]
-    fkey = features_key(upstream, extractor)
-    ekey = eval_key(fkey, config.n_folds, config.n_estimators, config.seed)
-
-    def features() -> dict:
-        traces, y = build().to_arrays()
-        return {"X": extractor.extract_many(traces, workers=config.workers), "y": y}
-
-    def scores() -> List[float]:
-        arrays = cached_arrays(cache, fkey, features)
-        return [float(s) for s in _fold_scores(arrays["X"], arrays["y"], config)]
-
-    return cached_json(cache, ekey, scores)
-
-
 def attack_fold_scores(
     name: str,
     config: ExperimentConfig,
@@ -242,8 +206,10 @@ def evaluate_cached_attack(
 ) -> List[float]:
     """Fold scores of any registered attack, with per-attack caching.
 
-    The generic sibling of :func:`evaluate_cached`: the eval key folds
-    in the attack's full spec (:func:`repro.cache.attack_eval_key`), so
+    Shared by the Table-2, parameter-sweep and adverse-network
+    experiments.  ``build()`` produces the (defended) dataset and
+    ``upstream`` is its cache key.  The eval key folds in the attack's
+    full spec (:func:`repro.cache.attack_eval_key`), so
     changing one attack's hyperparameters — or adding a new attacker —
     recomputes only that attack's cells while every other attack's fold
     scores (and the shared cached feature matrices) stay warm.
@@ -354,14 +320,13 @@ def run_table2(
     partial change (say, a defense parameter) recomputes only the
     stages downstream of it.  Results are identical either way.
 
-    ``attack`` selects any registered attacker.  The default k-FP run
-    keeps its historical cache keys and bit-identical numbers; other
-    attacks go through :func:`evaluate_cached_attack`, whose keys fold
-    in the attack spec so the grids coexist in one store.
+    ``attack`` selects any registered attacker (default k-FP, with
+    bit-identical numbers to the historical k-FP path).  Eval keys fold
+    in the attack spec, so the grids of different attacks coexist in
+    one store.
     """
     config = config or ExperimentConfig()
     get_clean, clean_key = dataset_chain(config, dataset, cache)
-    extractor = KfpFeatureExtractor()
     table: Dict[Tuple[str, object], Table2Cell] = {}
     for name, defense in make_defenses(config.seed).items():
         for n in ("all",) + N_VALUES:
@@ -377,14 +342,9 @@ def run_table2(
                 base = clean if prefix is None else clean.truncate(prefix)
                 return base.map(defense.apply)
 
-            if attack == "kfp":
-                scores = evaluate_cached(
-                    config, build, extractor, cache=cache, upstream=dkey
-                )
-            else:
-                scores = evaluate_cached_attack(
-                    config, build, attack, cache=cache, upstream=dkey
-                )
+            scores = evaluate_cached_attack(
+                config, build, attack, cache=cache, upstream=dkey
+            )
             mean, std = mean_std(scores)
             table[(name, n)] = Table2Cell(name, n, mean, std, scores)
     return table

@@ -20,7 +20,7 @@ from repro.quic.endpoint import QuicConfig, make_quic_flow
 from repro.simnet.engine import Simulator
 from repro.stob.controller import StobController
 from repro.web.objects import SiteProfile
-from repro.web.pageload import PageLoadConfig, _PageLoadSession
+from repro.web.pageload import PageLoadConfig, _PageLoadSession, visit_seed_rng
 from repro.web.sites import SITE_CATALOG
 
 
@@ -82,15 +82,15 @@ def collect_quic_dataset(
     seed: int = 0,
     controller_factory: Optional[Callable[[], StobController]] = None,
 ) -> Dataset:
-    """A closed-world dataset of QUIC page loads."""
+    """A closed-world dataset of QUIC page loads, each visit seeded by
+    :func:`~repro.web.pageload.visit_seed_rng` like its TCP twin."""
     config = config or PageLoadConfig()
     dataset = Dataset()
     labels = sites or sorted(SITE_CATALOG)
-    root = np.random.default_rng(seed)
     for label in labels:
         profile = SITE_CATALOG[label]
-        for _ in range(n_samples):
-            rng = np.random.default_rng(root.integers(0, 2**63))
+        for sample in range(n_samples):
+            rng = visit_seed_rng(seed, label, sample)
             controller = (
                 controller_factory() if controller_factory is not None else None
             )

@@ -11,9 +11,9 @@ previously lost the entire collection campaign.  The
 * **recovers from worker death** — the broken pool is torn down and
   rebuilt, completed chunks are kept, and the lost chunks are
   rescheduled.  Because every trial's randomness is position-derived
-  (:func:`repro.experiments.runner.trial_seed_rng`), a rescheduled
-  chunk recomputes byte-identical results, so recovery never changes
-  the dataset;
+  (:func:`repro.web.pageload.visit_seed_rng`), a rescheduled chunk
+  recomputes byte-identical results, so recovery never changes the
+  dataset;
 * **quarantines poison trials** — a chunk that keeps killing workers
   is bisected: split in half and rescheduled until the offending
   single trial is cornered, confirmed by running it in *isolation*
@@ -30,6 +30,15 @@ previously lost the entire collection campaign.  The
   terminated, which surfaces as a worker death and re-enters the
   recovery path above.  A deterministic hang therefore converges to
   quarantine through the same bisection machinery as a crash.
+
+Every collection fan-out in the repo runs through this one pool —
+trial grids via :func:`repro.web.pageload.run_trials` (plain and
+resilient collection) and campaign shards via
+:func:`repro.campaign.orchestrator.run_campaign` — and the pool owns
+the observability plumbing they share: with a session active, each
+task runs under a worker-local metrics session whose snapshot is
+merged into the parent registry before the payload reaches the
+caller.
 
 Metrics (when a :mod:`repro.obs` session is active):
 ``supervisor.worker_restarts``, ``supervisor.chunks_rescheduled``,
@@ -227,7 +236,9 @@ class SupervisedPool:
     ``payload`` is handed to ``complete`` exactly once, in completion
     order.  Callers must therefore merge results by *content* (trial
     coordinates), never by arrival order — the same contract the
-    unsupervised fan-out already had.
+    unsupervised fan-out already had.  With observability on, worker
+    metrics travel home with each payload and are merged here, so
+    callers only ever see their own payloads.
 
     The pool itself is rebuilt on demand after worker death; chunks are
     the unit of rescheduling and bisection.  See the module docstring
@@ -245,10 +256,17 @@ class SupervisedPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._workers = workers
-        self._task: Callable[..., Any] = (
-            _ChaosTask(task) if os.environ.get(CHAOS_ENV) else task
-        )
-        self._complete = complete
+        if _obs_runtime.session() is not None:
+            # Tasks run under worker-local metric sessions whose
+            # snapshots ship home with the payload and fold into this
+            # process's registry, so counter totals equal a serial
+            # run's.  A chunk lost to a crash never ships its snapshot,
+            # so recovery does not double-count.
+            task = _obs_runtime.WorkerTask(task)
+        if os.environ.get(CHAOS_ENV):
+            task = _ChaosTask(task)
+        self._task: Callable[..., Any] = task
+        self._complete = lambda payload: complete(_obs_runtime.absorb(payload))
         self._config = config or SupervisorConfig()
         self._clock = clock
 

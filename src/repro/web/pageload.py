@@ -12,31 +12,42 @@ reports ``completed=False`` with diagnostics, and strict callers (the
 resilient experiment runner) get a structured :class:`PageLoadStalled`
 instead of a silently truncated trace.
 
-:func:`collect_dataset` repeats this for every site and sample count,
-with per-visit path jitter (RTT and bandwidth vary between visits the
-way consecutive real fetches do), producing the raw dataset the
-Table-2 pipeline sanitises.  Stalled visits are dropped and counted —
-partial traces never enter a dataset.
+This module is also the collection core every collector shares:
+:func:`visit_seed_rng` is the one per-visit seed derivation,
+:func:`execute_trial` the one retry loop turning a ``(label, sample)``
+visit into a trace, and :func:`run_trials` the one fan-out (in-process
+or over a :class:`~repro.supervise.SupervisedPool`).
+:func:`collect_dataset` is the one-attempt view over them, with
+per-visit path jitter (RTT and bandwidth vary between visits the way
+consecutive real fetches do), producing the raw dataset the Table-2
+pipeline sanitises.  Stalled visits are dropped and counted — partial
+traces never enter a dataset.  The resilient runner
+(:mod:`repro.experiments.runner`) and campaign shards
+(:mod:`repro.campaign.worker`) add retries and persistence on top.
 """
 
 from __future__ import annotations
 
+import functools
+import time
 import zlib
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.capture.dataset import Dataset
 from repro.capture.trace import Trace, TraceObserver
-from repro.errors import TrialError
+from repro.errors import RETRYABLE_ERRORS, TrialError, WorkerCrashError
 from repro.obs import runtime as _obs_runtime
+from repro.parallel import chunked, default_chunk_size, resolve_workers
 from repro.simnet.engine import Simulator
 from repro.simnet.faults import FaultSpec
 from repro.simnet.path import NetworkPath
 from repro.stack.host import TcpFlow, make_flow
 from repro.stack.tcp import TcpConfig
 from repro.stob.controller import StobController
+from repro.supervise import SupervisedPool, SupervisorConfig
 from repro.units import mbps, msec
 from repro.web.objects import PageSample, SiteProfile
 from repro.web.sites import SITE_CATALOG
@@ -134,6 +145,10 @@ class PageLoadStalled(TrialError):
         super().__init__(f"page load of {site!r} stalled: {result.stall_summary()}")
         self.site = site
         self.result = result
+
+    def __reduce__(self):
+        # Stalls travel home from pool workers inside trial outcomes.
+        return type(self), (self.site, self.result)
 
 
 class _PageLoadSession:
@@ -378,45 +393,323 @@ def load_page_strict(
     return result.trace
 
 
-def visit_seed_rng(seed: int, label: str, sample: int) -> np.random.Generator:
-    """The canonical per-visit generator: derived from the visit's
-    *identity* ``(seed, label, sample)``, never from how many visits
-    ran before it.
 
-    An earlier version drew visit seeds from one sequential stream, so
-    adding a site to the list (or changing ``n_samples``) reshuffled
-    every subsequent visit's randomness.  Deriving from the coordinate
-    tuple makes each visit's trace a pure function of (seed, label,
-    sample): subsetting sites or extending sample counts leaves all
-    other visits bit-identical, matching the runner's position-derived
-    :func:`repro.experiments.runner.trial_seed_rng` — and it is what
-    makes parallel fan-out of :func:`collect_dataset` safe.  The label
-    enters through its CRC-32 so the derivation is independent of the
-    site catalogue's size or ordering.
 
-    Dataset-reproducibility implication: datasets collected with a
-    pre-fix sequential-stream build differ from current ones for the
-    same seed; re-collect rather than mixing the two generations.
+def visit_seed_rng(
+    seed: int, label: str, sample: int, attempt: int = 0
+) -> np.random.Generator:
+    """The one per-visit generator: derived from the visit's *identity*
+    ``(seed, label, sample, attempt)``, never from how many visits ran
+    before it.
+
+    Every collector seeds through here — :func:`collect_dataset`, the
+    resilient runner, campaign shards and QUIC collection — so one seed
+    gives one dataset whichever of them collected it.  Subsetting sites
+    or extending sample counts leaves every other visit bit-identical,
+    and fan-out, resume and repair recompute identical bytes.  The
+    label enters through its CRC-32 so the derivation is independent
+    of any site catalogue's size or ordering.  A retry appends its
+    attempt number; attempt 0 keeps the three-element entropy first
+    attempts have always used.
     """
-    return np.random.default_rng(
-        [seed, zlib.crc32(label.encode("utf-8")), sample]
+    entropy = [seed, zlib.crc32(label.encode("utf-8")), sample]
+    if attempt:
+        entropy.append(attempt)
+    return np.random.default_rng(entropy)
+
+
+class TrialDeadlineExceeded(TrialError):
+    """A trial exceeded its wall-clock budget (raised by the watchdog)."""
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Retry budget and backoff shape for one trial."""
+
+    max_attempts: int = 3
+    backoff_base: float = 0.25
+    backoff_factor: float = 2.0
+    backoff_max: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.backoff_base < 0 or self.backoff_max < 0:
+            raise ValueError("backoff must be >= 0")
+        if self.backoff_factor < 1.0:
+            raise ValueError(
+                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+            )
+
+    def delay(self, attempt: int) -> float:
+        """Backoff before retry number ``attempt`` (1-based)."""
+        return min(
+            self.backoff_max,
+            self.backoff_base * self.backoff_factor ** (attempt - 1),
+        )
+
+
+@dataclass
+class TrialFailure:
+    """One trial that exhausted its retry budget."""
+
+    label: str
+    index: int
+    attempts: int
+    error: str
+    message: str
+
+
+#: A trial function: (label, sample index, rng, watchdog) -> Trace.
+TrialFn = Callable[[str, int, np.random.Generator, Optional[Callable[[], None]]], Trace]
+
+
+def catalog_trial(
+    config: PageLoadConfig,
+    label: str,
+    index: int,
+    rng: np.random.Generator,
+    watchdog: Optional[Callable[[], None]],
+) -> Trace:
+    """One strict page load of the catalogued site ``label``: the trial
+    of plain collection, with ``config`` bound by
+    :func:`functools.partial` so it pickles for pool workers."""
+    return load_page_strict(
+        SITE_CATALOG[label], label, config, rng, watchdog=watchdog
     )
 
 
-def _collect_visit_chunk(
-    config: PageLoadConfig, seed: int, visits: List[Tuple[str, int]]
-) -> List[Tuple[str, int, PageLoadResult]]:
-    """Worker task: run a chunk of ``(label, sample)`` visits.
+@dataclass(frozen=True)
+class TrialSpec:
+    """What every trial of one collection runs, and how often it may
+    try: the picklable first argument of the pool task."""
 
-    Module-level (picklable) so :func:`collect_dataset` can fan chunks
-    out over a process pool; each visit reseeds from its coordinates,
-    so chunking never affects results.
+    trial_fn: TrialFn
+    retry: RetryPolicy = RetryPolicy(max_attempts=1)
+    #: Wall-clock seconds one attempt may burn (None = unlimited).
+    wall_deadline: Optional[float] = None
+
+
+@dataclass
+class TrialOutcome:
+    """Everything one trial's retry loop produced (shipped back from
+    pool workers as-is)."""
+
+    label: str
+    sample: int
+    trace: Optional[Trace]
+    attempts: int = 0
+    retries: int = 0
+    stalls: int = 0
+    #: The last attempt's error when no attempt produced a trace.
+    error: Optional[BaseException] = None
+
+    @property
+    def failure(self) -> Optional[TrialFailure]:
+        if self.error is None:
+            return None
+        return TrialFailure(
+            label=self.label,
+            index=self.sample,
+            attempts=self.attempts,
+            error=type(self.error).__name__,
+            message=str(self.error),
+        )
+
+
+def execute_trial(
+    trial_fn: TrialFn,
+    label: str,
+    sample: int,
+    seed: int,
+    retry: RetryPolicy,
+    wall_deadline: Optional[float] = None,
+    sleep: Callable[[float], None] = time.sleep,
+    clock: Callable[[], float] = time.monotonic,
+) -> TrialOutcome:
+    """The one loop that turns a ``(label, sample)`` visit into a trace.
+
+    Attempt ``a`` draws from :func:`visit_seed_rng` ``(seed, label,
+    sample, a)``, so where the trial executes never changes its
+    randomness.  A :data:`~repro.errors.RETRYABLE_ERRORS` failure
+    spends the retry budget with backoff; anything else propagates.
     """
-    out = []
-    for label, sample in visits:
-        rng = visit_seed_rng(seed, label, sample)
-        out.append((label, sample, load_page_result(SITE_CATALOG[label], config, rng)))
-    return out
+    obs = _obs_runtime.session()
+    if obs is not None:
+        obs.emit("trial.start", "runner", label=label, sample=sample)
+    outcome = TrialOutcome(label=label, sample=sample, trace=None)
+    trial_started = clock()
+    for attempt in range(retry.max_attempts):
+        outcome.attempts += 1
+        watchdog: Optional[Callable[[], None]] = None
+        if wall_deadline is not None:
+            started = clock()
+
+            def watchdog() -> None:
+                elapsed = clock() - started
+                if elapsed > wall_deadline:
+                    raise TrialDeadlineExceeded(
+                        f"trial exceeded wall-clock budget "
+                        f"({elapsed:.1f}s > {wall_deadline:.1f}s)"
+                    )
+
+        rng = visit_seed_rng(seed, label, sample, attempt)
+        try:
+            outcome.trace = trial_fn(label, sample, rng, watchdog)
+            outcome.error = None
+            break
+        except RETRYABLE_ERRORS as error:
+            # Dropping the traceback frees the failed attempt's simulator.
+            outcome.error = error.with_traceback(None)
+            if isinstance(error, PageLoadStalled):
+                outcome.stalls += 1
+            if attempt + 1 < retry.max_attempts:
+                outcome.retries += 1
+                sleep(retry.delay(attempt + 1))
+    _observe_trial(outcome, clock() - trial_started)
+    return outcome
+
+
+def _observe_trial(outcome: TrialOutcome, wall_seconds: float) -> None:
+    """Record one finished retry loop in the active metrics registry.
+
+    Runs in whichever process executed the trial (pool-worker
+    registries travel home as snapshots, see :mod:`repro.obs.runtime`).
+    All counters here are sim-determined, so serial and parallel runs
+    report equal totals; wall time goes to a timer, the one instrument
+    kind exempt from that guarantee.
+    """
+    obs = _obs_runtime.session()
+    if obs is None:
+        return
+    registry = obs.registry
+    registry.counter("runner.trials").add(1)
+    if outcome.trace is not None:
+        registry.counter("runner.trials_completed").add(1)
+    registry.counter("runner.retries").add(outcome.retries)
+    registry.counter("runner.stalls").add(outcome.stalls)
+    if outcome.error is not None:
+        registry.counter("runner.trials_failed").add(1)
+    registry.timer("runner.trial_wall").record(wall_seconds)
+
+
+def _collect_visit_chunk(
+    spec: TrialSpec, seed: int, visits: List[Tuple[str, int]]
+) -> List[TrialOutcome]:
+    """Pool task: run a chunk of ``(label, sample)`` visits.
+
+    :func:`run_trials` looks this name up on the module when it builds
+    its pool, so a stand-in installed here is what the workers run.
+    """
+    return [
+        execute_trial(
+            spec.trial_fn, label, sample, seed, spec.retry, spec.wall_deadline
+        )
+        for label, sample in visits
+    ]
+
+
+def run_trials(
+    spec: TrialSpec,
+    seed: int,
+    visits: Sequence[Tuple[str, int]],
+    complete: Callable[[TrialOutcome], None],
+    workers: int = 1,
+    supervisor: Optional[SupervisorConfig] = None,
+    chunk_size: Optional[int] = None,
+    sleep: Callable[[float], None] = time.sleep,
+    clock: Callable[[], float] = time.monotonic,
+) -> None:
+    """Run every visit through :func:`execute_trial` and hand each
+    :class:`TrialOutcome` to ``complete`` exactly once.
+
+    ``workers <= 1`` runs the visits in order in this process.  More
+    workers fan chunks out over a :class:`~repro.supervise.SupervisedPool`
+    and outcomes arrive in completion order, so callers merge by
+    coordinate.  Seeds are position-derived, so neither the worker
+    count nor a recovered worker death changes any outcome.  A visit
+    the supervisor quarantines (it kept killing workers) arrives as a
+    failed outcome carrying a :class:`~repro.errors.WorkerCrashError`.
+    """
+    workers = resolve_workers(workers)
+    if workers <= 1 or len(visits) <= 1:
+        for label, sample in visits:
+            complete(
+                execute_trial(
+                    spec.trial_fn, label, sample, seed, spec.retry,
+                    spec.wall_deadline, sleep=sleep, clock=clock,
+                )
+            )
+        return
+    supervisor = supervisor or SupervisorConfig()
+    if supervisor.trial_deadline is None and spec.wall_deadline is not None:
+        # Hang detection defaults to the deadline the watchdog already
+        # enforces cooperatively; the supervisor's copy catches trials
+        # hung somewhere the watchdog can't see.
+        supervisor = replace(supervisor, trial_deadline=spec.wall_deadline)
+
+    def merge(outcomes: List[TrialOutcome]) -> None:
+        for outcome in outcomes:
+            complete(outcome)
+
+    pool = SupervisedPool(
+        workers,
+        functools.partial(_collect_visit_chunk, spec, seed),
+        merge,
+        config=supervisor,
+    )
+    size = chunk_size or default_chunk_size(len(visits), workers)
+    for quarantined in pool.run(chunked(visits, size)).quarantined:
+        label, sample = quarantined.item
+        complete(
+            TrialOutcome(
+                label=label,
+                sample=sample,
+                trace=None,
+                attempts=quarantined.crashes,
+                error=WorkerCrashError(
+                    f"quarantined after killing a worker "
+                    f"{quarantined.crashes} times"
+                ),
+            )
+        )
+
+
+def collect_trials(
+    spec: TrialSpec,
+    seed: int,
+    labels: Sequence[str],
+    n_samples: int,
+    progress: Optional[Callable[[str, int], None]] = None,
+    stall_log: Optional[List[Exception]] = None,
+    workers: int = 1,
+    supervisor: Optional[SupervisorConfig] = None,
+) -> Dataset:
+    """The ``labels x range(n_samples)`` grid through :func:`run_trials`,
+    as a dataset in grid order.
+
+    A visit that fails is dropped and its error appended to
+    ``stall_log``; progress and the log follow grid order whatever the
+    completion order.
+    """
+    grid = [(label, sample) for label in labels for sample in range(n_samples)]
+    outcomes: Dict[Tuple[str, int], TrialOutcome] = {}
+
+    def complete(outcome: TrialOutcome) -> None:
+        outcomes[(outcome.label, outcome.sample)] = outcome
+
+    run_trials(spec, seed, grid, complete, workers=workers, supervisor=supervisor)
+    dataset = Dataset()
+    for label, sample in grid:
+        outcome = outcomes[(label, sample)]
+        if outcome.trace is None:
+            if stall_log is not None:
+                stall_log.append(outcome.error)
+            continue
+        dataset.add(label, outcome.trace)
+        if progress is not None:
+            progress(label, sample)
+    return dataset
 
 
 def collect_dataset(
@@ -425,112 +718,46 @@ def collect_dataset(
     config: Optional[PageLoadConfig] = None,
     seed: int = 0,
     progress: Optional[Callable[[str, int], None]] = None,
-    stall_log: Optional[List[PageLoadStalled]] = None,
+    stall_log: Optional[List[Exception]] = None,
     workers: int = 1,
     cache=None,
-    supervisor=None,
+    supervisor: Optional[SupervisorConfig] = None,
 ) -> Dataset:
     """Collect ``n_samples`` visits of each site (the paper's 100).
 
-    Stalled loads are dropped — a deadline-truncated trace is not a
-    shorter page load and would poison the dataset.  Each stall is
-    appended to ``stall_log`` (when given) so callers can report how
-    many visits were discarded; the resilient runner in
+    One attempt of :func:`catalog_trial` per visit through
+    :func:`collect_trials`; the resilient runner in
     :mod:`repro.experiments.runner` adds retries and checkpointing on
-    top of this primitive.
+    top of the same loop, so with no stalls both give the same dataset.
+    A visit that fails — a stall, or a quarantined worker-killer — is
+    dropped: a deadline-truncated trace is not a shorter page load and
+    would poison the dataset.  The error of each dropped visit (a
+    :class:`PageLoadStalled` for a stall) is appended to ``stall_log``
+    when given.
 
-    ``workers > 1`` fans the (site x sample) grid out over a process
-    pool.  Every visit's randomness comes from :func:`visit_seed_rng`
-    (its coordinates, not a shared stream), and results are merged in
-    grid order, so the dataset is bit-identical for any worker count;
-    ``workers=1`` (default) is the in-process fast path.  ``workers=0``
-    uses one process per core.
+    ``workers > 1`` fans the (site x sample) grid out over a supervised
+    process pool (``supervisor`` overrides its
+    :class:`~repro.supervise.SupervisorConfig`); the dataset is
+    bit-identical for any worker count.  ``workers=0`` uses one process
+    per core.
 
     ``cache`` (a :class:`repro.cache.ArtifactStore`) memoises the
     collected dataset under its capture key — (pageload config, sites,
     n_samples, seed); ``workers`` stays out of the key because output
     is worker-count invariant.  On a warm hit no visit is simulated, so
     ``progress``/``stall_log`` see nothing.
-
-    The parallel fan-out runs under a
-    :class:`~repro.supervise.SupervisedPool` (``supervisor`` overrides
-    its :class:`~repro.supervise.SupervisorConfig`): worker death
-    rebuilds the pool and replays the lost chunks to identical bytes,
-    and a visit that repeatedly kills workers is quarantined — dropped
-    from the dataset with a loud log line — instead of sinking the run.
     """
-    import functools
-
-    from repro.parallel import chunked, default_chunk_size, resolve_workers
-
     config = config or PageLoadConfig()
     labels = sites or sorted(SITE_CATALOG)
-    if cache is not None:
-        from repro.cache import capture_key, cached_dataset
 
-        return cached_dataset(
-            cache,
-            capture_key(config, labels, n_samples, seed),
-            lambda: collect_dataset(
-                n_samples=n_samples,
-                sites=labels,
-                config=config,
-                seed=seed,
-                progress=progress,
-                stall_log=stall_log,
-                workers=workers,
-                supervisor=supervisor,
-            ),
+    def collect() -> Dataset:
+        return collect_trials(
+            TrialSpec(functools.partial(catalog_trial, config)), seed, labels,
+            n_samples, progress, stall_log, workers, supervisor,
         )
-    dataset = Dataset()
-    grid = [(label, sample) for label in labels for sample in range(n_samples)]
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(grid) <= 1:
-        outcomes = _collect_visit_chunk(config, seed, grid)
-    else:
-        from repro.supervise import SupervisedPool
 
-        # Worker metrics (when observability is on) come home as
-        # per-chunk snapshots and merge into this process's registry;
-        # a chunk lost to a crash never ships its snapshot, so the
-        # merged totals stay equal to a serial run's.
-        chunk_fn = _collect_visit_chunk
-        if _obs_runtime.session() is not None:
-            chunk_fn = _obs_runtime.WorkerTask(_collect_visit_chunk)
-        chunks = chunked(grid, default_chunk_size(len(grid), workers))
-        merged = {}
+    if cache is None:
+        return collect()
+    from repro.cache import capture_key, cached_dataset
 
-        def merge(payload) -> None:
-            for label, sample, result in _obs_runtime.absorb(payload):
-                merged[(label, sample)] = result
-
-        pool = SupervisedPool(
-            workers,
-            functools.partial(chunk_fn, config, seed),
-            merge,
-            config=supervisor,
-        )
-        report = pool.run(chunks)
-        # Quarantined visits are simply absent from `merged`; every
-        # other coordinate must be present.
-        outcomes = [
-            (label, s, merged[(label, s)])
-            for label, s in grid
-            if (label, s) in merged
-        ]
-        dropped = sorted(q.item for q in report.quarantined)
-        missing = sorted(c for c in grid if c not in merged)
-        if missing != dropped:
-            raise RuntimeError(
-                f"supervised collection lost {missing} but only "
-                f"quarantined {dropped}"
-            )
-    for label, index, result in outcomes:
-        if not result.completed:
-            if stall_log is not None:
-                stall_log.append(PageLoadStalled(label, result))
-            continue
-        dataset.add(label, result.trace)
-        if progress is not None:
-            progress(label, index)
-    return dataset
+    return cached_dataset(cache, capture_key(config, labels, n_samples, seed), collect)

@@ -1,8 +1,7 @@
 """The Attack contract: every registry entry exposes ``name``, a total
 ``params()`` that reconstructs it through the registry, and
 deterministic ``fit``/``predict``.  Spec round-trips rebuild attacks
-that predict bit-identically; the deprecated ``_make_attack`` entry
-point keeps working but warns."""
+that predict bit-identically."""
 
 import numpy as np
 import pytest
@@ -111,15 +110,6 @@ def test_cca_identifier_exported_but_not_registered():
     registry."""
     assert CcaIdentifier is not None
     assert "cca" not in {n.split("-")[0] for n in ATTACK_REGISTRY}
-
-
-def test_deprecated_make_attack_shim_warns():
-    from repro.experiments.attack_robustness import _make_attack
-    from repro.experiments.config import ExperimentConfig
-
-    with pytest.warns(DeprecationWarning):
-        attack = _make_attack("knn", ExperimentConfig())
-    assert attack.name == "knn"
 
 
 def test_experiment_standard_configurations():

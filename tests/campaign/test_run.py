@@ -17,9 +17,11 @@ from repro.campaign.manifest import (
     shard_payload_path,
     shard_sidecar_path,
 )
-from repro.campaign.worker import run_shard, trial_rng
+from repro.campaign.worker import run_shard
 from repro.campaign.sharding import shard_spec
 from repro.errors import FatalError, RunTerminated
+from repro.web.generator import site_name
+from repro.web.pageload import visit_seed_rng
 
 
 def _digests(directory):
@@ -46,7 +48,7 @@ def test_run_shard_is_deterministic(tiny_config):
 
 def test_trial_rng_streams_are_distinct():
     draws = {
-        tuple(trial_rng(0, s, k, a).integers(0, 2**31, 4).tolist())
+        tuple(visit_seed_rng(0, site_name(s), k, a).integers(0, 2**31, 4).tolist())
         for s in range(3)
         for k in range(3)
         for a in range(2)

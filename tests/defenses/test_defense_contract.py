@@ -1,7 +1,6 @@
 """The Defense contract: every registry entry exposes ``name``, a
 total ``params()`` that reconstructs it through the registry, and a
-deterministic ``apply``.  Deprecated free-function entry points keep
-working but warn."""
+deterministic ``apply``."""
 
 import numpy as np
 import pytest
@@ -71,41 +70,3 @@ def test_build_defense_accepts_param_overrides():
     defense = build_defense("split", seed=2, threshold=800)
     assert defense.params()["threshold"] == 800
     assert defense.params()["seed"] == 2
-
-
-# -- deprecated free-function shims ----------------------------------------
-
-LEGACY = {
-    "split": "split",
-    "delay": "delayed",
-    "combined": "combined",
-    "front": "front",
-    "buflo": "buflo",
-    "tamaraw": "tamaraw",
-    "wtfpad": "wtfpad",
-    "regulator": "regulator",
-    "httpos": "httpos",
-    "morphing": "morphing",
-    "adaptive_front": "adaptive-front",
-}
-
-
-@pytest.mark.parametrize("function", sorted(LEGACY))
-def test_legacy_functions_warn_and_match_class_output(function, random_trace):
-    import repro.defenses as defenses
-
-    shim = getattr(defenses, function)
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        via_shim = shim(random_trace, seed=6)
-    via_class = build_defense(LEGACY[function], seed=6).apply(random_trace)
-    np.testing.assert_array_equal(via_shim.times, via_class.times)
-    np.testing.assert_array_equal(via_shim.sizes, via_class.sizes)
-    np.testing.assert_array_equal(via_shim.directions, via_class.directions)
-
-
-def test_legacy_import_spelling_still_works(random_trace):
-    from repro.defenses import split
-
-    with pytest.warns(DeprecationWarning):
-        defended = split(random_trace, threshold=1000, seed=1)
-    assert defended.times.shape[0] >= random_trace.times.shape[0]

@@ -8,15 +8,19 @@ from repro.capture.trace import Trace
 from repro.errors import TrialError
 from repro.experiments.runner import (
     CollectionReport,
+    PageLoadTrial,
     ResilientRunner,
     RetryPolicy,
     RunnerConfig,
     TrialDeadlineExceeded,
     collect_resilient,
-    pageload_trial_fn,
-    trial_seed_rng,
 )
-from repro.web.pageload import PageLoadConfig, PageLoadStalled, load_page_result
+from repro.web.pageload import (
+    PageLoadConfig,
+    PageLoadStalled,
+    load_page_result,
+    visit_seed_rng,
+)
 from repro.web.sites import SITE_CATALOG
 
 SITES = ["bing.com", "github.com"]
@@ -141,9 +145,9 @@ def test_wall_clock_deadline_aborts_via_watchdog():
 
 
 def test_trial_seeds_depend_only_on_position():
-    a = trial_seed_rng(7, 1, 3, 0).integers(0, 2**31)
-    b = trial_seed_rng(7, 1, 3, 0).integers(0, 2**31)
-    c = trial_seed_rng(7, 1, 3, 1).integers(0, 2**31)
+    a = visit_seed_rng(7, "bing.com", 3, 0).integers(0, 2**31)
+    b = visit_seed_rng(7, "bing.com", 3, 0).integers(0, 2**31)
+    c = visit_seed_rng(7, "bing.com", 3, 1).integers(0, 2**31)
     assert a == b != c
 
 
@@ -275,6 +279,6 @@ def test_report_summary_mentions_key_counts():
 
 
 def test_pageload_trial_fn_runs_a_real_load():
-    trial = pageload_trial_fn(PageLoadConfig())
+    trial = PageLoadTrial(PageLoadConfig())
     trace = trial("bing.com", 0, np.random.default_rng(0), None)
     assert len(trace) > 0

@@ -17,9 +17,8 @@ from repro.experiments.runner import (
     RunnerConfig,
     collect_resilient,
     execute_trial,
-    trial_seed_rng,
 )
-from repro.web.pageload import PageLoadConfig
+from repro.web.pageload import PageLoadConfig, visit_seed_rng
 from tests.experiments.test_runner import datasets_equal, synthetic_trial_fn
 
 SITES = ["bing.com", "github.com"]
@@ -152,7 +151,7 @@ def test_execute_trial_reseeds_per_attempt():
         raise TrialError("always")
 
     outcome = execute_trial(
-        failing, "bing.com", 0, 0, 5, RetryPolicy(max_attempts=3),
+        failing, "bing.com", 0, 5, RetryPolicy(max_attempts=3),
         sleep=lambda s: None,
     )
     assert outcome.trace is None
@@ -160,7 +159,7 @@ def test_execute_trial_reseeds_per_attempt():
     assert outcome.retries == 2
     assert len(set(seen)) == 3
     expected = [
-        int(trial_seed_rng(5, 0, 0, attempt).integers(0, 2**31))
+        int(visit_seed_rng(5, "bing.com", 0, attempt).integers(0, 2**31))
         for attempt in range(3)
     ]
     assert seen == expected

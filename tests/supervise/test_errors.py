@@ -56,14 +56,6 @@ def test_decode_errors_cover_common_corruption_shapes():
         assert issubclass(cls, ARTIFACT_DECODE_ERRORS)
 
 
-def test_deprecated_retryable_alias_warns():
-    import repro.experiments.runner as runner
-
-    with pytest.warns(DeprecationWarning, match="RETRYABLE"):
-        legacy = runner.RETRYABLE
-    assert legacy == RETRYABLE_ERRORS
-
-
 def test_bare_runtime_error_is_no_longer_retried():
     """The old policy retried any RuntimeError/ValueError; a bug like a
     typo'd attribute now fails fast instead of burning the budget."""
@@ -75,7 +67,7 @@ def test_bare_runtime_error_is_no_longer_retried():
 
     with pytest.raises(RuntimeError, match="programming error"):
         execute_trial(
-            buggy_trial, "bing.com", 0, 0, master_seed=1,
+            buggy_trial, "bing.com", 0, seed=1,
             retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
             sleep=lambda s: None,
         )
@@ -90,7 +82,7 @@ def test_trial_error_still_retries():
         raise TrialError("transient")
 
     outcome = execute_trial(
-        flaky_trial, "bing.com", 0, 0, master_seed=1,
+        flaky_trial, "bing.com", 0, seed=1,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
         sleep=lambda s: None,
     )

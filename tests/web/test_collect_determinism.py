@@ -1,5 +1,5 @@
-"""collect_dataset determinism: position-derived visit seeds + parallel
-byte-identity.
+"""Collection determinism: position-derived visit seeds, parallel
+byte-identity, and one dataset per seed whichever collector ran it.
 
 Visit randomness must depend only on ``(seed, label, sample)``.  The
 pre-fix implementation drew visit seeds from one sequential stream, so
@@ -8,8 +8,11 @@ made parallel fan-out unsafe.
 """
 
 import numpy as np
+import pytest
 
-from repro.capture.serialize import save_dataset
+from repro.capture.serialize import dumps_dataset, save_dataset
+from repro.experiments.runner import RunnerConfig, collect_resilient
+from repro.quic.pageload import collect_quic_dataset
 from repro.web.pageload import PageLoadConfig, collect_dataset, visit_seed_rng
 
 SITES = ["bing.com", "github.com"]
@@ -32,12 +35,13 @@ def test_visit_seed_depends_only_on_coordinates():
     assert len({a, c, d}) == 3
 
 
-def test_site_subsetting_preserves_other_visits():
+@pytest.mark.parametrize(
+    "collect", [collect_dataset, collect_quic_dataset], ids=["tcp", "quic"]
+)
+def test_site_subsetting_preserves_other_visits(collect):
     config = PageLoadConfig()
-    both = collect_dataset(n_samples=2, sites=SITES, config=config, seed=11)
-    only_second = collect_dataset(
-        n_samples=2, sites=["github.com"], config=config, seed=11
-    )
+    both = collect(n_samples=2, sites=SITES, config=config, seed=11)
+    only_second = collect(n_samples=2, sites=["github.com"], config=config, seed=11)
     for t1, t2 in zip(both.traces["github.com"], only_second.traces["github.com"]):
         assert traces_equal(t1, t2), (
             "removing a site from the list must not reshuffle another "
@@ -81,3 +85,15 @@ def test_parallel_collection_preserves_progress_and_stalls():
     )
     assert [s.site for s in serial_log] == [s.site for s in fanned_log]
     assert serial_progress == fanned_progress
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resilient_and_plain_collection_are_byte_identical(workers):
+    """With no stalls the retry loop never draws past attempt 0, so the
+    resilient runner and the plain collector return the same bytes."""
+    plain = collect_dataset(n_samples=2, sites=SITES, seed=7, workers=workers)
+    resilient, report = collect_resilient(
+        SITES, 2, seed=7, runner_config=RunnerConfig(workers=workers)
+    )
+    assert report.stalls == 0 and report.dropped_trials == 0
+    assert dumps_dataset(resilient) == dumps_dataset(plain)
