@@ -6,21 +6,27 @@ same process**, so the gate compares a machine-independent *ratio*
 rather than absolute wall-clock numbers — the same trick the obs
 overhead guard uses with :class:`benchmarks.bench_micro.BaselineEventLoop`.
 
-Two workloads:
+Four workloads:
 
 * **page loads** — fixed (site, seed) page-load simulations, the cost
   center of every experiment (loads/second);
 * **event churn** — the raw event-loop workload from
   :func:`benchmarks.bench_micro.run_event_churn` (events/second),
-  comparing the live loop against ``BaselineEventLoop``.
+  comparing the live loop against ``BaselineEventLoop``;
+* **link bursts** — vectorized link transit against the frozen
+  reference link (packets/second);
+* **forest fit** — bootstrapped random-forest trees on fixed seeded
+  matrices (a Table 2 benchmark fold, 18x135, and a paper-scale fold,
+  533x175, both with nine classes), the live tree against the frozen
+  per-feature split search in ``tests/differential/reference_tree.py``.
 
 Modes::
 
     PYTHONPATH=src:. python benchmarks/smoke_vectorized.py            # gate
     PYTHONPATH=src:. python benchmarks/smoke_vectorized.py --record   # rebaseline
 
-The gate (CI job ``vectorized-smoke``) recomputes both speedup ratios
-and fails if either has regressed more than :data:`TOLERANCE` (20 %)
+The gate (CI job ``vectorized-smoke``) recomputes every speedup ratio
+and fails if any has regressed more than :data:`TOLERANCE` (20 %)
 against the committed ``results/bench_baseline.json``.  ``--record``
 rewrites the baseline — only do that deliberately, with a perf change
 you intend to commit.  Absolute numbers are recorded informationally
@@ -43,7 +49,7 @@ sys.path.insert(0, REPO)
 
 BASELINE_PATH = os.path.join(REPO, "results", "bench_baseline.json")
 
-#: Allowed regression of either speedup ratio against the baseline.
+#: Allowed regression of any speedup ratio against the baseline.
 TOLERANCE = 0.20
 
 #: The fixed page-load workload: (site, visit seed) pairs.
@@ -54,6 +60,14 @@ PAGE_WORKLOAD = [
     ("wikipedia.org", 3),
     ("bing.com", 4),
 ]
+
+#: The fixed forest-fit workload: (rows, features, trees) per matrix.
+FOREST_WORKLOAD = [(18, 135, 40), (533, 175, 4)]
+FOREST_CLASSES = 9
+
+#: Speedup ratios the gate checks against the baseline.
+GATED = ("page_load_speedup", "event_churn_speedup", "link_burst_speedup",
+         "forest_fit_speedup")
 
 
 def _run_page_workload() -> int:
@@ -118,6 +132,52 @@ def baseline_event_throughput() -> float:
     return event_churn_throughput(BaselineEventLoop)
 
 
+def _forest_matrix(rows: int, features: int, seed: int):
+    """Seeded fingerprint-like data: gaussians with a weak per-class
+    shift (trees of a few hundred nodes at 533 rows), every third
+    column rounded so there are ties as in k-FP's count features."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(rows) % FOREST_CLASSES
+    shift = 0.3 * rng.normal(size=(FOREST_CLASSES, features))
+    X = rng.normal(size=(rows, features)) + shift[y]
+    X[:, ::3] = np.round(X[:, ::3] * 2.0)
+    return X, y
+
+
+def _fit_forest(tree_cls, X, y, n_trees: int) -> int:
+    """Fit ``n_trees`` bootstrapped trees the way the forest does;
+    returns the total node count (the live and reference trees must
+    agree on it)."""
+    nodes = 0
+    for tree_rng in np.random.default_rng(0).spawn(n_trees):
+        sample = tree_rng.integers(0, len(X), size=len(X))
+        tree = tree_cls(max_features="sqrt", rng=tree_rng)
+        tree.fit(X[sample], y[sample], n_classes=FOREST_CLASSES)
+        nodes += tree.node_count
+    return nodes
+
+
+def forest_fit_seconds(repeats: int = 3) -> dict:
+    """Best-of-``repeats`` seconds per matrix for the live and the
+    reference tree, alternated so host drift hits both alike."""
+    from repro.ml.tree import DecisionTree
+    from tests.differential.reference_tree import DecisionTree as ReferenceTree
+
+    times = {}
+    for rows, features, n_trees in FOREST_WORKLOAD:
+        X, y = _forest_matrix(rows, features, seed=rows)
+        best = {"live": float("inf"), "reference": float("inf")}
+        nodes = {}
+        for _ in range(repeats):
+            for name, cls in (("live", DecisionTree), ("reference", ReferenceTree)):
+                started = time.perf_counter()
+                nodes[name] = _fit_forest(cls, X, y, n_trees)
+                best[name] = min(best[name], time.perf_counter() - started)
+        assert nodes["live"] == nodes["reference"], f"trees differ: {nodes}"
+        times[f"{rows}x{features}"] = best
+    return times
+
+
 def measure() -> dict:
     live_loads = page_load_rate()
     ref_loads = reference_page_load_rate()
@@ -125,6 +185,9 @@ def measure() -> dict:
     base_events = baseline_event_throughput()
     live_burst = link_burst_rate()
     ref_burst = reference_link_burst_rate()
+    forest = forest_fit_seconds()
+    live_fit = sum(best["live"] for best in forest.values())
+    ref_fit = sum(best["reference"] for best in forest.values())
     return {
         "workload": [list(pair) for pair in PAGE_WORKLOAD],
         "page_loads_per_sec": round(live_loads, 2),
@@ -136,6 +199,13 @@ def measure() -> dict:
         "link_burst_packets_per_sec": round(live_burst),
         "reference_link_burst_packets_per_sec": round(ref_burst),
         "link_burst_speedup": round(live_burst / ref_burst, 3),
+        "forest_fit_s": round(live_fit, 4),
+        "reference_forest_fit_s": round(ref_fit, 4),
+        "forest_fit_speedup": round(ref_fit / live_fit, 3),
+        "forest_fit_speedup_by_matrix": {
+            shape: round(best["reference"] / best["live"], 3)
+            for shape, best in forest.items()
+        },
     }
 
 
@@ -161,8 +231,7 @@ def main(argv=None) -> int:
         baseline = json.load(handle)
 
     failures = []
-    for key in ("page_load_speedup", "event_churn_speedup",
-                "link_burst_speedup"):
+    for key in GATED:
         floor = baseline[key] * (1.0 - TOLERANCE)
         status = "ok" if current[key] >= floor else "REGRESSED"
         print(

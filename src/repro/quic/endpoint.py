@@ -96,6 +96,8 @@ class QuicEndpoint:
         # Sender state.
         self._next_pn = 0
         self._sent: Dict[int, QuicPacket] = {}
+        #: Lowest packet number that may still be in ``_sent``.
+        self._sent_floor = 0
         self.bytes_in_flight = 0
         self._largest_acked = -1
         self._lost_ranges = RangeSet()
@@ -326,13 +328,22 @@ class QuicEndpoint:
     # ------------------------------------------------------------------ ACK clock
 
     def _handle_ack(self, packet: QuicPacket) -> None:
+        # Every packet number below the floor has left ``_sent`` for
+        # good (numbers are never reused), so ranges are walked from the
+        # floor rather than from their start: linear, not quadratic, in
+        # connection length.
+        sent = self._sent
+        floor = self._sent_floor
+        while floor < self._next_pn and floor not in sent:
+            floor += 1
+        self._sent_floor = floor
         acked_pns = [
             pn
             for start, end in packet.ack_ranges
-            for pn in range(start, min(end, packet.ack_largest + 1))
-            if pn in self._sent
+            for pn in range(max(start, floor), min(end, packet.ack_largest + 1))
+            if pn in sent
         ]
-        if packet.ack_largest in self._sent:
+        if packet.ack_largest in sent:
             acked_pns.append(packet.ack_largest)
         if not acked_pns:
             return

@@ -41,6 +41,10 @@ class QuicPacket:
     padding_bytes: int = 0
     is_handshake: bool = False
     sent_at: float = -1.0
+    #: Bytes on the wire (IP + UDP + QUIC overheads + frames), derived
+    #: at construction: frames are final once a packet is built, and
+    #: pacing, links, taps and loss recovery all read it per packet.
+    wire_size: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.direction not in (1, -1):
@@ -52,6 +56,10 @@ class QuicPacket:
         for start, end in self.stream_ranges:
             if end <= start:
                 raise ValueError(f"bad stream range ({start}, {end})")
+        ack_size = 8 + 4 * len(self.ack_ranges) if self.ack_largest >= 0 else 0
+        self.wire_size = (
+            DATAGRAM_OVERHEAD + self.stream_bytes + self.padding_bytes + ack_size
+        )
 
     @property
     def stream_bytes(self) -> int:
@@ -62,14 +70,3 @@ class QuicPacket:
     def is_ack_eliciting(self) -> bool:
         """Packets carrying anything but ACK frames elicit ACKs."""
         return bool(self.stream_ranges) or self.padding_bytes > 0 or self.is_handshake
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire (IP + UDP + QUIC overheads + frames)."""
-        ack_size = 8 + 4 * len(self.ack_ranges) if self.ack_largest >= 0 else 0
-        return (
-            DATAGRAM_OVERHEAD
-            + self.stream_bytes
-            + self.padding_bytes
-            + ack_size
-        )
