@@ -10,26 +10,8 @@ shaping pushes its accuracy toward chance.
 Run:  python examples/cca_obfuscation.py          (~1-2 minutes)
 """
 
-import numpy as np
-
 from repro.attacks.cca_id import CCA_NAMES, CcaIdentifier, collect_cca_traces
-from repro.stob.actions import ComposedAction, DelayAction, SplitAction
-from repro.stob.controller import StobController
-
-
-def stob_factory(seed=0):
-    state = {"n": 0}
-
-    def make():
-        state["n"] += 1
-        return StobController(
-            action=ComposedAction(
-                SplitAction(1200, 2),
-                DelayAction(0.1, 0.3, rng=np.random.default_rng(seed + state["n"])),
-            )
-        )
-
-    return make
+from repro.stob.controller import split_delay_controller
 
 
 def main():
@@ -41,7 +23,7 @@ def main():
     clean_acc = identifier.score(test_clean, y_test)
 
     test_stob, y_stob = collect_cca_traces(
-        n_per_cca=4, seed=6, controller_factory=stob_factory(5)
+        n_per_cca=4, seed=6, controller_factory=split_delay_controller
     )
     stob_acc = identifier.score(test_stob, y_stob)
 

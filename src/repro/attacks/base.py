@@ -18,9 +18,6 @@ Mirrors the Defense contract (:mod:`repro.defenses.base`):
 Wall-clock-only knobs (worker counts) are constructor arguments but
 stay *out* of ``params()``: results are bit-identical for any value,
 so they must not move cache keys.
-
-The historical ``fit_traces`` / ``predict_traces`` spellings remain as
-concrete aliases so pre-contract call sites keep working.
 """
 
 from __future__ import annotations
@@ -83,16 +80,6 @@ class TraceAttack(abc.ABC):
         """Closed-world accuracy on a labelled dataset."""
         traces, y = dataset.to_arrays()
         return accuracy_score(y, self.predict(traces))
-
-    # -- pre-contract spellings --------------------------------------------
-
-    def fit_traces(self, traces: Sequence[Trace], y: np.ndarray) -> "TraceAttack":
-        """Alias of :meth:`fit` (the pre-contract spelling)."""
-        return self.fit(traces, y)
-
-    def predict_traces(self, traces: Sequence[Trace]) -> np.ndarray:
-        """Alias of :meth:`predict` (the pre-contract spelling)."""
-        return self.predict(traces)
 
 
 #: Public alias for the Attack base contract (mirrors

@@ -41,7 +41,10 @@ def bulk_flow_trace(
     """One bulk transfer's packet trace (server -> client).
 
     Path rate/RTT are jittered per flow so the classifier must learn
-    CCA behaviour, not a fixed path signature.
+    CCA behaviour, not a fixed path signature.  ``controller_factory``
+    builds the server's Stob controller from the flow's generator
+    ``rng`` (e.g. :func:`~repro.stob.controller.split_delay_controller`),
+    so a flow's shaping depends on that flow alone.
     """
     sim = Simulator()
     path = NetworkPath(
@@ -56,7 +59,7 @@ def bulk_flow_trace(
         server_config=TcpConfig(cc=cca),
     )
     if controller_factory is not None:
-        flow.server.segment_controller = controller_factory()
+        flow.server.segment_controller = controller_factory(rng)
     observer = TraceObserver()
     flow.server_host.nic.add_tap(observer.tap_incoming)
     flow.client_host.nic.add_tap(observer.tap_outgoing)

@@ -11,28 +11,9 @@ action — obfuscation should push accuracy toward chance (1/3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
 
 from repro.attacks.cca_id import CCA_NAMES, CcaIdentifier, collect_cca_traces
-from repro.stob.actions import ComposedAction, DelayAction, SplitAction
-from repro.stob.controller import StobController
-
-
-def _stob_factory(seed: int):
-    counter = {"n": 0}
-
-    def make() -> StobController:
-        counter["n"] += 1
-        return StobController(
-            action=ComposedAction(
-                SplitAction(1200, 2),
-                DelayAction(
-                    0.10, 0.30, rng=np.random.default_rng(seed + counter["n"])
-                ),
-            )
-        )
-
-    return make
+from repro.stob.controller import split_delay_controller
 
 
 @dataclass
@@ -57,7 +38,7 @@ def run_cca_identification(
     baseline = identifier.score(test_clean, test_y)
 
     test_defended, defended_y = collect_cca_traces(
-        n_test_per_cca, seed=seed + 1, controller_factory=_stob_factory(seed)
+        n_test_per_cca, seed=seed + 1, controller_factory=split_delay_controller
     )
     defended = identifier.score(test_defended, defended_y)
     return CcaIdResult(

@@ -33,11 +33,9 @@ from repro.capture.dataset import Dataset
 from repro.capture.sanitize import sanitize_dataset
 from repro.defenses.combined import CombinedDefense
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.table2 import evaluate_dataset
-from repro.ml.forest import RandomForest
-from repro.ml.metrics import accuracy_score, mean_std
-from repro.stob.actions import ComposedAction, DelayAction, SplitAction
-from repro.stob.controller import StobController
+from repro.experiments.table2 import evaluate_dataset, make_attack
+from repro.ml.metrics import mean_std
+from repro.stob.controller import split_delay_controller
 from repro.capture.trace import Trace
 from repro.web.pageload import (
     PageLoadConfig,
@@ -57,20 +55,14 @@ def _enforced_trial(
 ) -> Trace:
     """One catalogue page load with Stob split+delay in the server stack.
 
-    The delay draws from a child stream spawned off the visit's
-    generator, which leaves the generator itself untouched: each
-    enforced visit loads the same page over the same path as the stock
-    visit with the same coordinates.
+    :func:`~repro.stob.controller.split_delay_controller` leaves the
+    visit's generator untouched: each enforced visit loads the same
+    page over the same path as the stock visit with the same
+    coordinates.
     """
-    controller = StobController(
-        action=ComposedAction(
-            SplitAction(1200, 2),
-            DelayAction(0.10, 0.30, rng=rng.spawn(1)[0]),
-        )
-    )
     return load_page_strict(
         SITE_CATALOG[label], label, config, rng,
-        server_controller=controller, watchdog=watchdog,
+        server_controller=split_delay_controller(rng), watchdog=watchdog,
     )
 
 
@@ -136,15 +128,7 @@ def run_enforcement_gap(
     acc_enfo = mean_std(evaluate_dataset(enforced, config, extractor))
 
     # Transfer: train on the emulated distribution, attack deployment.
-    train_traces, train_y = emulated.to_arrays()
-    test_traces, test_y = enforced.to_arrays()
-    forest = RandomForest(
-        n_estimators=config.n_estimators, random_state=config.seed
-    )
-    forest.fit(extractor.extract_many(train_traces), train_y)
-    transfer = accuracy_score(
-        test_y, forest.predict(extractor.extract_many(test_traces))
-    )
+    transfer = make_attack(config, "kfp").fit_dataset(emulated).score_dataset(enforced)
 
     packets_o, duration_o = _shape_stats(original)
     packets_m, duration_m = _shape_stats(emulated)

@@ -19,36 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.attacks.features.kfp import KfpFeatureExtractor
 from repro.capture.dataset import Dataset
 from repro.capture.sanitize import sanitize_dataset
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.table2 import evaluate_dataset
-from repro.ml.forest import RandomForest
-from repro.ml.metrics import accuracy_score, mean_std
+from repro.experiments.table2 import evaluate_dataset, make_attack
+from repro.ml.metrics import mean_std
 from repro.quic.pageload import collect_quic_dataset
-from repro.stob.actions import ComposedAction, DelayAction, SplitAction
-from repro.stob.controller import StobController
+from repro.stob.controller import split_delay_controller
 from repro.web.pageload import collect_dataset
-
-
-def _stob_factory(seed: int):
-    state = {"n": 0}
-
-    def make() -> StobController:
-        state["n"] += 1
-        return StobController(
-            action=ComposedAction(
-                SplitAction(1200, 2),
-                DelayAction(
-                    0.10, 0.30, rng=np.random.default_rng(seed + state["n"])
-                ),
-            )
-        )
-
-    return make
 
 
 @dataclass
@@ -78,7 +57,7 @@ def run_quic_vs_tcp(
         n_samples=config.n_samples,
         config=config.pageload,
         seed=config.seed,
-        controller_factory=_stob_factory(config.seed),
+        controller_factory=split_delay_controller,
     )
     tcp_clean, _ = sanitize_dataset(tcp_dataset, balance_to=config.balance_to)
     quic_clean, _ = sanitize_dataset(quic_dataset, balance_to=config.balance_to)
@@ -89,15 +68,7 @@ def run_quic_vs_tcp(
     acc_quic = mean_std(evaluate_dataset(quic_clean, config, extractor))
     acc_stob = mean_std(evaluate_dataset(stob_clean, config, extractor))
 
-    train_traces, train_y = tcp_clean.to_arrays()
-    test_traces, test_y = quic_clean.to_arrays()
-    forest = RandomForest(
-        n_estimators=config.n_estimators, random_state=config.seed
-    )
-    forest.fit(extractor.extract_many(train_traces), train_y)
-    cross = accuracy_score(
-        test_y, forest.predict(extractor.extract_many(test_traces))
-    )
+    cross = make_attack(config, "kfp").fit_dataset(tcp_clean).score_dataset(quic_clean)
     return QuicVsTcpResult(
         accuracy_tcp=acc_tcp,
         accuracy_quic=acc_quic,

@@ -47,7 +47,6 @@ from repro.capture.sanitize import sanitize_dataset
 from repro.defenses.base import TraceDefense
 from repro.defenses.registry import build_defense
 from repro.experiments.config import ExperimentConfig
-from repro.ml.forest import RandomForest
 from repro.ml.metrics import accuracy_score, mean_std
 from repro.ml.validate import stratified_kfold_indices
 from repro.web.pageload import collect_dataset
@@ -130,27 +129,6 @@ class Table2Cell:
         return f"{self.mean:.3f} ± {self.std:.3f}"
 
 
-def _fold_scores(
-    X: np.ndarray, y: np.ndarray, config: ExperimentConfig
-) -> List[float]:
-    """k-fold random-forest accuracies over an extracted feature matrix."""
-    rng = np.random.default_rng(config.seed)
-    scores: List[float] = []
-    for fold_index, (train_idx, test_idx) in enumerate(
-        stratified_kfold_indices(y, config.n_folds, rng)
-    ):
-        forest = RandomForest(
-            n_estimators=config.n_estimators,
-            random_state=config.seed + fold_index,
-            n_jobs=config.workers,
-        )
-        forest.fit(X[train_idx], y[train_idx])
-        scores.append(
-            accuracy_score(y[test_idx], forest.predict(X[test_idx]))
-        )
-    return scores
-
-
 def evaluate_dataset(
     dataset: Dataset,
     config: ExperimentConfig,
@@ -160,7 +138,7 @@ def evaluate_dataset(
     extractor = extractor or KfpFeatureExtractor()
     traces, y = dataset.to_arrays()
     X = extractor.extract_many(traces, workers=config.workers)
-    return _fold_scores(X, y, config)
+    return attack_fold_scores("kfp", config, y, X=X)
 
 
 def attack_fold_scores(
@@ -172,12 +150,11 @@ def attack_fold_scores(
 ) -> List[float]:
     """k-fold accuracies of one registered attack.
 
-    Uses the same fold generator and the same per-fold seed schedule
-    (``config.seed + fold_index``) as the historical k-FP path, so
-    ``attack_fold_scores("kfp", ...)`` on kfp features is bit-identical
-    to :func:`_fold_scores`.  ``X`` is the pre-extracted feature matrix
-    for attacks with a feature extractor; attacks without one (CUMUL)
-    fit on ``traces`` directly.
+    One stratified fold split seeded by ``config.seed`` and one
+    attack per fold seeded ``config.seed + fold_index``: the k-fold
+    loop of every experiment.  ``X`` is the pre-extracted feature
+    matrix for attacks with a feature extractor; attacks without one
+    (CUMUL) fit on ``traces`` directly.
     """
     rng = np.random.default_rng(config.seed)
     scores: List[float] = []

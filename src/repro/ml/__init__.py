@@ -12,7 +12,7 @@ pieces k-FP needs from first principles, vectorised with numpy:
 * :class:`~repro.ml.mlp.MlpClassifier` — ReLU MLP with a minimal
   backprop core (minibatch SGD + momentum, softmax cross-entropy),
   the classifier behind the deep-learning-class TAM attack,
-* metrics and stratified cross-validation helpers.
+* metrics and the stratified k-fold splitter.
 """
 
 from repro.ml.tree import DecisionTree
@@ -24,7 +24,7 @@ from repro.ml.metrics import (
     confusion_matrix,
     precision_recall_f1,
 )
-from repro.ml.validate import cross_validate_accuracy, stratified_kfold_indices
+from repro.ml.validate import stratified_kfold_indices
 
 __all__ = [
     "DecisionTree",
@@ -34,6 +34,5 @@ __all__ = [
     "accuracy_score",
     "confusion_matrix",
     "precision_recall_f1",
-    "cross_validate_accuracy",
     "stratified_kfold_indices",
 ]

@@ -1,8 +1,8 @@
-"""Cross-validation helpers."""
+"""Stratified k-fold splitting."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -28,26 +28,3 @@ def stratified_kfold_indices(
         test_idx = np.nonzero(fold_of == fold)[0]
         train_idx = np.nonzero(fold_of != fold)[0]
         yield train_idx, test_idx
-
-
-def cross_validate_accuracy(
-    make_model: Callable[[], object],
-    X: np.ndarray,
-    y: np.ndarray,
-    n_folds: int = 5,
-    rng: np.random.Generator = None,
-) -> List[float]:
-    """Fit/score ``make_model()`` across stratified folds.
-
-    The model must expose ``fit(X, y)`` and ``score(X, y)``.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    X = np.asarray(X)
-    y = np.asarray(y, dtype=np.int64)
-    scores: List[float] = []
-    for train_idx, test_idx in stratified_kfold_indices(y, n_folds, rng):
-        model = make_model()
-        model.fit(X[train_idx], y[train_idx])
-        scores.append(float(model.score(X[test_idx], y[test_idx])))
-    return scores

@@ -1,14 +1,17 @@
 """Page loads over QUIC.
 
-Reuses the HTTP exchange driver of :mod:`repro.web.pageload` — both
-transport endpoints expose the same ``write``/``on_data``/
-``on_established`` surface — so the only difference between a TCP and
-a QUIC visit of the same page is the transport, which is exactly what
-the TCP-vs-QUIC fingerprinting comparison needs.
+Reuses the visit driver of :mod:`repro.web.pageload` — both transport
+endpoints expose the same ``write``/``on_data``/``on_established``
+surface — so the only difference between a TCP and a QUIC visit of the
+same page is the transport, which is exactly what the TCP-vs-QUIC
+fingerprinting comparison needs.  QUIC collection runs on the same
+trial core as TCP collection: one seed derivation, one retry loop, and
+stalled visits dropped rather than kept as truncated traces.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -20,8 +23,17 @@ from repro.quic.endpoint import QuicConfig, make_quic_flow
 from repro.simnet.engine import Simulator
 from repro.stob.controller import StobController
 from repro.web.objects import SiteProfile
-from repro.web.pageload import PageLoadConfig, _PageLoadSession, visit_seed_rng
+from repro.web.pageload import (
+    PageLoadConfig,
+    PageLoadStalled,
+    TrialSpec,
+    _drive_visit,
+    collect_trials,
+)
 from repro.web.sites import SITE_CATALOG
+
+#: Builds a visit's server-side controller from the visit's generator.
+ControllerFactory = Callable[[np.random.Generator], StobController]
 
 
 @dataclass
@@ -41,7 +53,12 @@ def load_page_quic(
     rng: Optional[np.random.Generator] = None,
     server_controller: Optional[StobController] = None,
 ) -> Trace:
-    """Simulate one QUIC visit and return the observed trace."""
+    """Simulate one QUIC visit and return the observed trace.
+
+    Raises :class:`~repro.web.pageload.PageLoadStalled` instead of
+    returning a trace truncated at ``config.max_duration``, as
+    :func:`~repro.web.pageload.load_page_strict` does for TCP.
+    """
     config = config or PageLoadConfig()
     rng = rng or np.random.default_rng(0)
     sim = Simulator()
@@ -58,21 +75,33 @@ def load_page_quic(
     )
     if server_controller is not None:
         server.segment_controller = server_controller
+    result = _drive_visit(
+        sim, _QuicFlowAdapter(client=client, server=server),
+        profile.sample_page(rng), config, path.rtt, observer
+    )
+    if not result.completed:
+        raise PageLoadStalled(profile.name, result)
+    return result.trace
 
-    page = profile.sample_page(rng)
-    done = {"flag": False}
 
-    def finish() -> None:
-        done["flag"] = True
-
-    flow = _QuicFlowAdapter(client=client, server=server)
-    _PageLoadSession(sim, flow, page, config.pipeline_depth, finish)
-    step = 0.1
-    while not done["flag"] and sim.now < config.max_duration:
-        sim.run(until=min(sim.now + step, config.max_duration))
-    if done["flag"]:
-        sim.run(until=sim.now + 4 * path.rtt)
-    return observer.trace()
+def quic_trial(
+    config: PageLoadConfig,
+    controller_factory: Optional[ControllerFactory],
+    label: str,
+    index: int,
+    rng: np.random.Generator,
+    watchdog: Optional[Callable[[], None]],
+) -> Trace:
+    """One QUIC visit of the catalogued site ``label``: the trial of
+    QUIC collection, with ``config`` and ``controller_factory`` bound
+    by :func:`functools.partial`.  The factory receives the visit's
+    generator, so a defended visit's controller is seeded from the
+    visit's coordinates alone.  QUIC collection sets no wall-clock
+    deadline, so ``watchdog`` is always None."""
+    controller = controller_factory(rng) if controller_factory is not None else None
+    return load_page_quic(
+        SITE_CATALOG[label], config, rng, server_controller=controller
+    )
 
 
 def collect_quic_dataset(
@@ -80,23 +109,12 @@ def collect_quic_dataset(
     sites: Optional[List[str]] = None,
     config: Optional[PageLoadConfig] = None,
     seed: int = 0,
-    controller_factory: Optional[Callable[[], StobController]] = None,
+    controller_factory: Optional[ControllerFactory] = None,
 ) -> Dataset:
-    """A closed-world dataset of QUIC page loads, each visit seeded by
-    :func:`~repro.web.pageload.visit_seed_rng` like its TCP twin."""
-    config = config or PageLoadConfig()
-    dataset = Dataset()
-    labels = sites or sorted(SITE_CATALOG)
-    for label in labels:
-        profile = SITE_CATALOG[label]
-        for sample in range(n_samples):
-            rng = visit_seed_rng(seed, label, sample)
-            controller = (
-                controller_factory() if controller_factory is not None else None
-            )
-            dataset.add(
-                label,
-                load_page_quic(profile, config, rng,
-                               server_controller=controller),
-            )
-    return dataset
+    """A closed-world dataset of QUIC page loads: :func:`quic_trial`
+    over :func:`~repro.web.pageload.collect_trials`, seeded visit by
+    visit like its TCP twin.  Stalled visits are dropped."""
+    spec = TrialSpec(
+        functools.partial(quic_trial, config or PageLoadConfig(), controller_factory)
+    )
+    return collect_trials(spec, seed, sites or sorted(SITE_CATALOG), n_samples)

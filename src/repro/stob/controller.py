@@ -15,8 +15,17 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.obs import runtime as _obs_runtime
-from repro.stob.actions import NoOpAction, StobAction, action_from_policy
+from repro.stob.actions import (
+    ComposedAction,
+    DelayAction,
+    NoOpAction,
+    SplitAction,
+    StobAction,
+    action_from_policy,
+)
 from repro.stob.constraints import ConstraintReport, PhaseGate
 from repro.stob.policy import ObfuscationPolicy
 
@@ -102,6 +111,24 @@ class StobController:
         """Clear per-connection state (new connection reuse)."""
         self.action.reset()
         self._last_departure = -1.0
+
+
+def split_delay_controller(rng: np.random.Generator) -> StobController:
+    """The paper's split+delay countermeasure, enforced in the stack:
+    payload chunks over 1200 B split in two, and each inter-departure
+    gap stretched by U(10 %, 30 %) — the §3 parameters.
+
+    The delay draws from a child stream spawned off ``rng``, which
+    leaves ``rng`` itself untouched: a defended visit (or flow) seeded
+    with the same generator as a stock one loads the same page over
+    the same path, and its delays depend on its own generator alone.
+    """
+    return StobController(
+        action=ComposedAction(
+            SplitAction(1200, 2),
+            DelayAction(0.10, 0.30, rng=rng.spawn(1)[0]),
+        )
+    )
 
 
 def attach_stob(

@@ -265,6 +265,42 @@ class _PageLoadSession:
         return send
 
 
+def _drive_visit(
+    sim: Simulator,
+    flow,
+    page: PageSample,
+    config: PageLoadConfig,
+    rtt: float,
+    observer: TraceObserver,
+    watchdog: Optional[Callable[[], None]] = None,
+) -> PageLoadResult:
+    """Play ``page`` over ``flow`` until it completes (plus trailing
+    ACKs) or ``config.max_duration`` cuts it off: the one visit driver
+    behind TCP (:func:`load_page_result`) and QUIC page loads.
+
+    ``flow`` is anything with a TCP flow's ``client``/``server``/
+    ``connect`` surface; ``watchdog`` runs between simulation slices.
+    """
+    session = _PageLoadSession(sim, flow, page, config.pipeline_depth, lambda: None)
+    step = 0.1
+    while not session.completed and sim.now < config.max_duration:
+        if watchdog is not None:
+            watchdog()
+        sim.run(until=min(sim.now + step, config.max_duration))
+    if session.completed:
+        # Drain trailing ACKs/retransmissions.
+        sim.run(until=sim.now + 4 * rtt)
+    return PageLoadResult(
+        trace=observer.trace(),
+        completed=session.completed,
+        sim_time=sim.now,
+        rounds_completed=session.rounds_completed,
+        total_rounds=session.total_rounds,
+        bytes_received=session.bytes_received,
+        events_processed=sim.processed_events,
+    )
+
+
 def load_page_result(
     profile: SiteProfile,
     config: Optional[PageLoadConfig] = None,
@@ -313,30 +349,8 @@ def load_page_result(
     if on_flow is not None:
         on_flow(flow)
 
-    page = profile.sample_page(rng)
-    done = {"flag": False}
-
-    def finish() -> None:
-        done["flag"] = True
-
-    session = _PageLoadSession(sim, flow, page, config.pipeline_depth, finish)
-    # Run until the page completes (plus trailing ACKs) or the guard.
-    step = 0.1
-    while not done["flag"] and sim.now < config.max_duration:
-        if watchdog is not None:
-            watchdog()
-        sim.run(until=min(sim.now + step, config.max_duration))
-    if done["flag"]:
-        # Drain trailing ACKs/retransmissions.
-        sim.run(until=sim.now + 4 * path.rtt)
-    result = PageLoadResult(
-        trace=observer.trace(),
-        completed=done["flag"],
-        sim_time=sim.now,
-        rounds_completed=session.rounds_completed,
-        total_rounds=session.total_rounds,
-        bytes_received=session.bytes_received,
-        events_processed=sim.processed_events,
+    result = _drive_visit(
+        sim, flow, profile.sample_page(rng), config, path.rtt, observer, watchdog
     )
     obs = _obs_runtime.session()
     if obs is not None:

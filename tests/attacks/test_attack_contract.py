@@ -97,13 +97,6 @@ def test_spec_round_trip_predicts_identically(name, tiny_world):
     assert np.array_equal(original.predict(test_x), rebuilt.predict(test_x))
 
 
-@pytest.mark.parametrize("name", sorted(ATTACK_REGISTRY))
-def test_legacy_trace_spellings_alias_the_contract(name, tiny_world):
-    train_x, train_y, test_x = tiny_world
-    attack = _small(name).fit_traces(train_x, train_y)
-    assert np.array_equal(attack.predict_traces(test_x), attack.predict(test_x))
-
-
 def test_cca_identifier_exported_but_not_registered():
     """CcaIdentifier classifies congestion controllers, not sites: it
     is public API (the PR-9 export fix) but stays out of the WF

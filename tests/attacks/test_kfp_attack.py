@@ -49,7 +49,7 @@ def test_kfp_deterministic(small_world):
     traces, _y = test.to_arrays()
     a = KFingerprinting(n_estimators=10, random_state=3).fit_dataset(train)
     b = KFingerprinting(n_estimators=10, random_state=3).fit_dataset(train)
-    assert np.array_equal(a.predict_traces(traces), b.predict_traces(traces))
+    assert np.array_equal(a.predict(traces), b.predict(traces))
 
 
 def test_kfp_feature_importances_normalised(small_world):
@@ -79,4 +79,4 @@ def test_feature_knn_requires_fit(small_world):
     _train, test = small_world
     traces, _y = test.to_arrays()
     with pytest.raises(RuntimeError):
-        FeatureKnnAttack().predict_traces(traces)
+        FeatureKnnAttack().predict(traces)

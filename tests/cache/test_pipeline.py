@@ -2,6 +2,8 @@
 warm runs are byte-identical, perturbed configs recompute, corrupted
 artifacts fall back transparently."""
 
+from typing import List
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,10 @@ from repro.cache import (
     cached_json,
     dataset_key,
 )
+from repro.experiments.config import ExperimentConfig
+from repro.ml.forest import RandomForest
+from repro.ml.metrics import accuracy_score
+from repro.ml.validate import stratified_kfold_indices
 from repro.web.tracegen import StatisticalTraceGenerator
 
 
@@ -152,10 +158,32 @@ def test_table2_eval_perturbation_recomputes_only_eval(tmp_path):
     assert after.by_stage["eval"][0] == 2 * stats.by_stage["eval"][0]
 
 
+def _fold_scores(
+    X: np.ndarray, y: np.ndarray, config: ExperimentConfig
+) -> List[float]:
+    """k-fold random-forest accuracies over an extracted feature matrix."""
+    rng = np.random.default_rng(config.seed)
+    scores: List[float] = []
+    for fold_index, (train_idx, test_idx) in enumerate(
+        stratified_kfold_indices(y, config.n_folds, rng)
+    ):
+        forest = RandomForest(
+            n_estimators=config.n_estimators,
+            random_state=config.seed + fold_index,
+            n_jobs=config.workers,
+        )
+        forest.fit(X[train_idx], y[train_idx])
+        scores.append(
+            accuracy_score(y[test_idx], forest.predict(X[test_idx]))
+        )
+    return scores
+
+
 def test_table2_generic_attack_path_matches_kfp(tmp_path):
     """The registry path on kfp features reproduces the historical
-    k-FP numbers bit-identically (same folds, same per-fold seeds)."""
-    from repro.experiments.config import ExperimentConfig
+    k-FP numbers bit-identically (same folds, same per-fold seeds).
+    ``_fold_scores`` above is a frozen copy of the hand-built k-FP
+    fold loop the registry path replaced."""
     from repro.experiments.table2 import run_table2
 
     config = ExperimentConfig(
@@ -163,11 +191,7 @@ def test_table2_generic_attack_path_matches_kfp(tmp_path):
     )
     dataset = _tiny_dataset(seed=11, n_samples=6)
     from repro.capture.sanitize import sanitize_dataset
-    from repro.experiments.table2 import (
-        _fold_scores,
-        attack_fold_scores,
-        make_attack,
-    )
+    from repro.experiments.table2 import attack_fold_scores, make_attack
 
     clean, _ = sanitize_dataset(dataset, balance_to=config.balance_to)
     traces, y = clean.to_arrays()

@@ -4,7 +4,12 @@ emulation-vs-enforcement pipeline."""
 import numpy as np
 import pytest
 
-from repro.attacks.cca_id import CcaIdentifier, bulk_flow_trace, collect_cca_traces
+from repro.attacks.cca_id import (
+    CCA_NAMES,
+    CcaIdentifier,
+    bulk_flow_trace,
+    collect_cca_traces,
+)
 from repro.capture.trace import IN
 from repro.experiments.cca_interplay import (
     format_interplay,
@@ -16,6 +21,7 @@ from repro.experiments.enforcement import (
     format_enforcement,
     run_enforcement_gap,
 )
+from repro.stob.controller import split_delay_controller
 from repro.web.pageload import PageLoadConfig, collect_dataset
 
 
@@ -30,6 +36,28 @@ def test_cca_identifier_learns_in_sample():
     identifier = CcaIdentifier(n_estimators=20, random_state=2)
     identifier.fit(traces, y)
     assert identifier.score(traces, y) > 0.9  # in-sample sanity
+
+
+def test_cca_flow_shaping_depends_only_on_its_own_generator():
+    """Flow i's Stob delay stream is seeded from flow i's generator
+    alone: each defended flow of a collection equals the same flow run
+    on its own, so no flow's shaping depends on how many ran before."""
+    defended, _y = collect_cca_traces(
+        1, seed=4, controller_factory=split_delay_controller
+    )
+    root = np.random.default_rng(4)
+    flow_seeds = [root.integers(0, 2**63) for _ in CCA_NAMES]
+    for cca, flow_seed, collected in reversed(
+        list(zip(CCA_NAMES, flow_seeds, defended))
+    ):
+        alone = bulk_flow_trace(
+            cca, np.random.default_rng(flow_seed),
+            controller_factory=split_delay_controller,
+        )
+        assert np.array_equal(alone.times, collected.times), cca
+        assert np.array_equal(alone.sizes, collected.sizes), cca
+    stock = bulk_flow_trace(CCA_NAMES[-1], np.random.default_rng(flow_seeds[-1]))
+    assert not np.array_equal(stock.times, defended[-1].times)
 
 
 def test_interplay_grid_runs_and_formats():

@@ -10,7 +10,7 @@ from repro.ml.metrics import (
     mean_std,
     precision_recall_f1,
 )
-from repro.ml.validate import cross_validate_accuracy, stratified_kfold_indices
+from repro.ml.validate import stratified_kfold_indices
 
 
 def test_knn_euclidean_nearest_wins():
@@ -102,13 +102,3 @@ def test_stratified_kfold_covers_everything(rng):
     for _train, test in stratified_kfold_indices(y, 3, rng):
         seen.extend(test.tolist())
     assert sorted(seen) == list(range(30))
-
-
-def test_cross_validate_accuracy(rng):
-    X = np.concatenate([rng.normal(0, 1, (30, 3)), rng.normal(8, 1, (30, 3))])
-    y = np.array([0] * 30 + [1] * 30)
-    scores = cross_validate_accuracy(
-        lambda: KNeighborsClassifier(n_neighbors=3), X, y, n_folds=3, rng=rng
-    )
-    assert len(scores) == 3
-    assert min(scores) > 0.9

@@ -6,13 +6,14 @@ import pytest
 from repro.capture.trace import IN
 from repro.quic.endpoint import QuicConfig, QuicEndpoint, make_quic_flow
 from repro.quic.packet import DATAGRAM_OVERHEAD, QuicPacket
-from repro.quic.pageload import load_page_quic
+from repro.quic.pageload import collect_quic_dataset, load_page_quic
 from repro.simnet.engine import Simulator
 from repro.simnet.path import NetworkPath
 from repro.stob.actions import SplitAction
 from repro.stob.controller import StobController
 from repro.units import mbps, msec, mib
 from repro.web import PageLoadConfig, SITE_CATALOG
+from repro.web.pageload import PageLoadStalled
 
 
 def make(rate=mbps(30), rtt=msec(20), cc="cubic", loss=0.0, seed=1,
@@ -194,3 +195,17 @@ def test_quic_page_load_deterministic():
     b = load_page_quic(SITE_CATALOG["bing.com"], cfg, np.random.default_rng(4))
     assert len(a) == len(b)
     assert np.allclose(a.times, b.times)
+
+
+def test_stalled_quic_visit_is_dropped_not_truncated():
+    """A QUIC load that misses ``max_duration`` is a stall, as over
+    TCP: the load raises and collection drops the visit instead of
+    keeping a truncated trace."""
+    config = PageLoadConfig(max_duration=0.3)
+    with pytest.raises(PageLoadStalled) as stalled:
+        load_page_quic(SITE_CATALOG["bing.com"], config, np.random.default_rng(1))
+    assert not stalled.value.result.completed
+    dataset = collect_quic_dataset(
+        n_samples=1, sites=["bing.com"], config=config, seed=1
+    )
+    assert dataset.num_traces == 0

@@ -7,12 +7,15 @@ adding a site (or a sample) reshuffled every subsequent visit — and
 made parallel fan-out unsafe.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.capture.serialize import dumps_dataset, save_dataset
 from repro.experiments.runner import RunnerConfig, collect_resilient
 from repro.quic.pageload import collect_quic_dataset
+from repro.stob.controller import split_delay_controller
 from repro.web.pageload import PageLoadConfig, collect_dataset, visit_seed_rng
 
 SITES = ["bing.com", "github.com"]
@@ -36,12 +39,23 @@ def test_visit_seed_depends_only_on_coordinates():
 
 
 @pytest.mark.parametrize(
-    "collect", [collect_dataset, collect_quic_dataset], ids=["tcp", "quic"]
+    "collect",
+    [
+        collect_dataset,
+        collect_quic_dataset,
+        functools.partial(
+            collect_quic_dataset, controller_factory=split_delay_controller
+        ),
+    ],
+    ids=["tcp", "quic", "quic+stob"],
 )
 def test_site_subsetting_preserves_other_visits(collect):
+    """Also for Stob-defended visits: each controller is seeded from its
+    own visit's generator, not from a count of visits before it."""
     config = PageLoadConfig()
     both = collect(n_samples=2, sites=SITES, config=config, seed=11)
     only_second = collect(n_samples=2, sites=["github.com"], config=config, seed=11)
+    assert len(both.traces["github.com"]) == len(only_second.traces["github.com"]) == 2
     for t1, t2 in zip(both.traces["github.com"], only_second.traces["github.com"]):
         assert traces_equal(t1, t2), (
             "removing a site from the list must not reshuffle another "
